@@ -22,7 +22,7 @@ product k times, innermost factor first.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Mapping, Optional, Sequence, Union
+from typing import Iterator, Mapping, Optional, Sequence, Union
 
 from .ratpoly import Chart, Poly, Rat, Scalar, lift_poly
 
@@ -78,6 +78,15 @@ class GradedTensor:
     @property
     def is_zero(self) -> bool:
         return not self.comps
+
+    @classmethod
+    def zero(cls, chart: Chart, grade: int):
+        return cls(chart, grade, {})
+
+    @classmethod
+    def from_poly(cls, p: Poly):
+        """A grade-0 tensor holding one polynomial."""
+        return cls(p.chart, 0, {(): p})
 
     def _new(self, grade: int, comps: dict[MultiIndex, Poly]):
         return type(self)(self.chart, grade, comps)
@@ -139,10 +148,6 @@ class GradedTensor:
     def component(self, idx: Sequence[int]) -> Poly:
         return self.comps.get(tuple(idx), Poly.zero(self.chart))
 
-    def map_coeffs(self, f):
-        """Apply a Poly -> Poly function to every component."""
-        return self._new(self.grade, {i: f(p) for i, p in self.comps.items()})
-
     def __eq__(self, other: object) -> bool:
         if type(self) is not type(other):
             return NotImplemented
@@ -184,21 +189,8 @@ class MultiVec(GradedTensor):
         return "@" + self.chart.coords[position]
 
     @staticmethod
-    def zero(chart: Chart, grade: int) -> "MultiVec":
-        return MultiVec(chart, grade, {})
-
-    @staticmethod
-    def from_poly(p: Poly) -> "MultiVec":
-        return MultiVec(p.chart, 0, {(): p})
-
-    @staticmethod
     def coordinate_field(chart: Chart, coord: str) -> "MultiVec":
         return MultiVec(chart, 1, {(chart.index(coord),): Poly.one(chart)})
-
-    @staticmethod
-    def basis(chart: Chart, idx: Sequence[int], coeff: Optional[Poly] = None) -> "MultiVec":
-        p = coeff if coeff is not None else Poly.one(chart)
-        return MultiVec(chart, len(idx), {tuple(idx): p})
 
     def apply_to(self, f: Poly) -> Poly:
         """Directional derivative along a vector field (grade 1 only)."""
@@ -221,26 +213,8 @@ class Form(GradedTensor):
         return "d " + self.chart.coords[position]
 
     @staticmethod
-    def zero(chart: Chart, grade: int) -> "Form":
-        return Form(chart, grade, {})
-
-    @staticmethod
-    def from_poly(p: Poly) -> "Form":
-        return Form(p.chart, 0, {(): p})
-
-    @staticmethod
     def coordinate_differential(chart: Chart, coord: str) -> "Form":
         return Form(chart, 1, {(chart.index(coord),): Poly.one(chart)})
-
-    @staticmethod
-    def basis(chart: Chart, idx: Sequence[int], coeff: Optional[Poly] = None) -> "Form":
-        p = coeff if coeff is not None else Poly.one(chart)
-        return Form(chart, len(idx), {tuple(idx): p})
-
-
-def wedge(a: GradedTensor, b: GradedTensor) -> GradedTensor:
-    return a.wedge(b)
-
 
 def wedge_all(factors: Sequence[GradedTensor]) -> GradedTensor:
     if not factors:
@@ -358,12 +332,6 @@ def basis_index_tuples(chart: Chart, k: int) -> Iterator[MultiIndex]:
     from itertools import combinations
 
     return combinations(range(chart.dim), k)
-
-
-def basis_coframe_wedges(chart: Chart, k: int) -> Iterator[tuple[Form, ...]]:
-    """All increasing k-tuples of coordinate differentials."""
-    for idx in basis_index_tuples(chart, k):
-        yield tuple(Form.coordinate_differential(chart, chart.coords[i]) for i in idx)
 
 
 def lift_tensor(t: GradedTensor, big: Chart, positions: Sequence[int]):

@@ -22,7 +22,7 @@ structures, and it matches the shifted-degree-zero role of 1-form slots.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from typing import Callable, Mapping, Optional, Sequence
@@ -139,6 +139,35 @@ def compatibility_defect(s: NambuStructure, alphas: Sequence[Form]) -> Form:
     return lhs - rhs
 
 
+def _leibniz_defect(s: NambuStructure, alphas: list[Form], f: Poly) -> Form:
+    """[a_1, .., f*a_n] - f*[a_1, .., a_n] - sharp(a_1..a_(n-1))(f)*a_n."""
+    lhs = form_bracket(s, alphas[:-1] + [alphas[-1].scale(f)])
+    rhs = form_bracket(s, alphas).scale(f) + alphas[-1].scale(
+        sharp(s, alphas[:-1]).apply_to(f)
+    )
+    return lhs - rhs
+
+
+def _fundamental_defect(s: NambuStructure, alphas: list[Form], betas: list[Form]) -> Form:
+    """[A, [B]] - sum_k [b_1, .., [A, b_k], .., b_n] for n-1 alphas, n betas."""
+    lhs = form_bracket(s, alphas + [form_bracket(s, betas)])
+    rhs = Form.zero(s.chart, 1)
+    for k in range(len(betas)):
+        inner = form_bracket(s, alphas + [betas[k]])
+        rhs = rhs + form_bracket(s, betas[:k] + [inner] + betas[k + 1 :])
+    return lhs - rhs
+
+
+def _anchor_defect(s: NambuStructure, alphas: list[Form], betas: list[Form]) -> MultiVec:
+    """[sharp(A), sharp(B)] - sum_k sharp(b_1, .., [A, b_k], ..) for n-1 of each."""
+    lhs = schouten(sharp(s, alphas), sharp(s, betas))
+    rhs = MultiVec.zero(s.chart, 1)
+    for k in range(len(betas)):
+        inner = form_bracket(s, alphas + [betas[k]])
+        rhs = rhs + sharp(s, betas[:k] + [inner] + betas[k + 1 :])
+    return lhs - rhs
+
+
 @dataclass(frozen=True)
 class PropertyFailure:
     prop: str
@@ -203,31 +232,16 @@ def form_bracket_properties(
         record("exact", d.is_zero, fs, d)
 
         f = smp.poly(ch, degree)
-        lhs = form_bracket(s, alphas[:-1] + [alphas[-1].scale(f)])
-        x = sharp(s, alphas[:-1])
-        rhs = form_bracket(s, alphas).scale(f) + alphas[-1].scale(x.apply_to(f))
-        d = lhs - rhs
+        d = _leibniz_defect(s, alphas, f)
         record("leibniz", d.is_zero, (alphas, f), d)
 
         closed = [de_rham_d(smp.poly(ch, degree)) for _ in range(n - 1)]
         betas = [smp.one_form(ch, degree) for _ in range(n)]
-        lhs = form_bracket(s, closed + [form_bracket(s, betas)])
-        rhs = Form.zero(ch, 1)
-        for k in range(n):
-            inner = form_bracket(s, closed + [betas[k]])
-            rhs = rhs + form_bracket(s, betas[:k] + [inner] + betas[k + 1 :])
-        d = lhs - rhs
+        d = _fundamental_defect(s, closed, betas)
         record("fundamental", d.is_zero, (closed, betas), d)
 
         beta_group = [smp.one_form(ch, degree) for _ in range(n - 1)]
-        lhs_v = schouten(sharp(s, closed), sharp(s, beta_group))
-        rhs_v = MultiVec.zero(ch, 1)
-        for k in range(n - 1):
-            inner = form_bracket(s, closed + [beta_group[k]])
-            rhs_v = rhs_v + sharp(
-                s, beta_group[:k] + [inner] + beta_group[k + 1 :]
-            )
-        d = lhs_v - rhs_v
+        d = _anchor_defect(s, closed, beta_group)
         record("morphism", d.is_zero, (closed, beta_group), d)
 
     order = ("skew", "exact", "leibniz", "fundamental", "morphism")
@@ -254,6 +268,23 @@ class RestrictionReport:
         )
 
 
+def _sharp_stays_tangent(
+    s: NambuStructure,
+    sub: SolvedSubmanifold,
+    covectors: Sequence[Form],
+    conormals: Sequence[Form],
+) -> bool:
+    """sharp of every (n-1)-subset of the covectors pairs to zero with every
+    conormal covector, reduced mod the ideal of the locus."""
+    ok = True
+    for pick in combinations(covectors, s.order - 1):
+        x = sharp(s, list(pick))
+        for theta in conormals:
+            if not sub.reduce(pairing(theta, x)).is_zero:
+                ok = False
+    return ok
+
+
 def conormal_restriction_check(
     s: NambuStructure, sub: SolvedSubmanifold, trials: int = 6, seed: int = 0
 ) -> RestrictionReport:
@@ -274,13 +305,7 @@ def conormal_restriction_check(
     frame = conormal_frame(sub)
     tangents = tangent_frame(sub)
 
-    sharp_tangent = True
-    if len(frame) >= n - 1:
-        for pick in combinations(frame, n - 1):
-            x = sharp(s, list(pick))
-            for theta in frame:
-                if not sub.reduce(pairing(theta, x)).is_zero:
-                    sharp_tangent = False
+    sharp_tangent = _sharp_stays_tangent(s, sub, frame, frame)
 
     def conormal_section() -> Form:
         acc = Form.zero(ch, 1)
@@ -404,12 +429,6 @@ class WlfbReport:
     def all_pass(self) -> bool:
         return all(a.passed for a in self.axioms)
 
-    def axiom(self, name: str) -> AxiomResult:
-        for a in self.axioms + self.unrestricted:
-            if a.name == name:
-                return a
-        raise KeyError(name)
-
 
 def wlfb_check(
     s: NambuStructure, trials: int = 6, degree: int = 2, seed: int = 0
@@ -449,37 +468,15 @@ def wlfb_check(
         if not d.is_zero:
             algebroid_ok = False
 
-    def fundamental_defect(closed_first: bool) -> bool:
+    def sweep(defect, width: int, closed_first: bool) -> bool:
         ok = True
         for _ in range(trials):
             if closed_first:
                 alphas = [de_rham_d(smp.poly(ch, degree)) for _ in range(n - 1)]
             else:
                 alphas = [smp.one_form(ch, degree) for _ in range(n - 1)]
-            betas = [smp.one_form(ch, degree) for _ in range(n)]
-            lhs = form_bracket(s, alphas + [form_bracket(s, betas)])
-            rhs = Form.zero(ch, 1)
-            for k in range(n):
-                inner = form_bracket(s, alphas + [betas[k]])
-                rhs = rhs + form_bracket(s, betas[:k] + [inner] + betas[k + 1 :])
-            if not (lhs - rhs).is_zero:
-                ok = False
-        return ok
-
-    def anchor_defect(closed_first: bool) -> bool:
-        ok = True
-        for _ in range(trials):
-            if closed_first:
-                alphas = [de_rham_d(smp.poly(ch, degree)) for _ in range(n - 1)]
-            else:
-                alphas = [smp.one_form(ch, degree) for _ in range(n - 1)]
-            betas = [smp.one_form(ch, degree) for _ in range(n - 1)]
-            lhs = schouten(sharp(s, alphas), sharp(s, betas))
-            rhs = MultiVec.zero(ch, 1)
-            for k in range(n - 1):
-                inner = form_bracket(s, alphas + [betas[k]])
-                rhs = rhs + sharp(s, betas[:k] + [inner] + betas[k + 1 :])
-            if not (lhs - rhs).is_zero:
+            betas = [smp.one_form(ch, degree) for _ in range(width)]
+            if not defect(s, alphas, betas).is_zero:
                 ok = False
         return ok
 
@@ -487,11 +484,7 @@ def wlfb_check(
     for _ in range(trials):
         alphas = [smp.one_form(ch, degree) for _ in range(n)]
         f = smp.poly(ch, degree)
-        lhs = form_bracket(s, alphas[:-1] + [alphas[-1].scale(f)])
-        rhs = form_bracket(s, alphas).scale(f) + alphas[-1].scale(
-            sharp(s, alphas[:-1]).apply_to(f)
-        )
-        if not (lhs - rhs).is_zero:
+        if not _leibniz_defect(s, alphas, f).is_zero:
             leibniz_ok = False
 
     compat_ok = True
@@ -502,16 +495,18 @@ def wlfb_check(
 
     axioms = (
         AxiomResult("algebroid", algebroid_ok),
-        AxiomResult("fundamental", fundamental_defect(True), "closed first group"),
-        AxiomResult("anchor", anchor_defect(True), "closed first group"),
+        AxiomResult(
+            "fundamental", sweep(_fundamental_defect, n, True), "closed first group"
+        ),
+        AxiomResult("anchor", sweep(_anchor_defect, n - 1, True), "closed first group"),
         AxiomResult("leibniz", leibniz_ok, "unrestricted"),
         AxiomResult("compatibility", compat_ok, "pinned slot extension"),
     )
     unrestricted: tuple[AxiomResult, ...] = ()
     if n == 2:
         unrestricted = (
-            AxiomResult("fundamental_unrestricted", fundamental_defect(False)),
-            AxiomResult("anchor_unrestricted", anchor_defect(False)),
+            AxiomResult("fundamental_unrestricted", sweep(_fundamental_defect, n, False)),
+            AxiomResult("anchor_unrestricted", sweep(_anchor_defect, n - 1, False)),
         )
     return WlfbReport(axioms, n, seed, trials, degree, unrestricted)
 
@@ -571,9 +566,6 @@ class FilippovTable:
             if idx == key:
                 return Fraction(sign) * row[j]
         return Fraction(0)
-
-    def bracket_row(self, indices: Sequence[int]) -> list[Rat]:
-        return [self.coefficient(indices, j) for j in range(self.dim)]
 
     def is_zero(self) -> bool:
         return all(all(c == 0 for c in row) for _, row in self.constants)
@@ -711,15 +703,8 @@ def coiso_subalgebroid_check(
     sub = model.base
     smp = _Sampler(seed)
     ann = _annihilator_frame(model)
-    conormals = conormal_frame(sub)
 
-    anchor_ok = True
-    if len(ann) >= n - 1:
-        for pick in combinations(ann, n - 1):
-            x = sharp(s, list(pick))
-            for theta in conormals:
-                if not sub.reduce(pairing(theta, x)).is_zero:
-                    anchor_ok = False
+    anchor_ok = _sharp_stays_tangent(s, sub, ann, conormal_frame(sub))
 
     def ann_section(vanishing: bool) -> Form:
         acc = Form.zero(ch, 1)

@@ -78,7 +78,6 @@ class PolyMap:
         """Source index per component when every component is a bare coordinate."""
         out = []
         for c in self.comps:
-            idx = c.support_indices()
             if len(c.terms) != 1:
                 return None
             (exps, coeff), = c.terms.items()

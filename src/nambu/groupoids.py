@@ -164,13 +164,17 @@ class PairGroupoid:
         self._verify_structure_maps()
 
     def _verify_structure_maps(self) -> None:
-        # one-time symbolic sanity: units embed, inversion is an involution
+        # one-time symbolic sanity: units embed, inversion is an involution;
+        # raised explicitly so that it also runs under python -O
         ident = PolyMap.identity(self.base.chart)
-        assert self.source_map().after(self.unit_map()) == ident
-        assert self.target_map().after(self.unit_map()) == ident
         swap = self.inversion_map()
-        assert swap.after(swap) == PolyMap.identity(self.total)
-        assert self.source_map().after(swap) == self.target_map()
+        if not (
+            self.source_map().after(self.unit_map()) == ident
+            and self.target_map().after(self.unit_map()) == ident
+            and swap.after(swap) == PolyMap.identity(self.total)
+            and self.source_map().after(swap) == self.target_map()
+        ):
+            raise AssertionError("pair model structure maps are inconsistent")
 
     def source_map(self) -> PolyMap:
         bx, _ = self.blocks
@@ -222,6 +226,18 @@ class PairGroupoid:
 
 
 GroupoidModel = Union[GroupLaw, PairGroupoid]
+
+
+def _require_model_structure(model: GroupoidModel, s: NambuStructure) -> None:
+    """Reject a structure the model's checks do not apply to."""
+    if isinstance(model, GroupLaw):
+        if s.chart != model.chart:
+            raise ValueError("structure must live on the group chart")
+    elif isinstance(model, PairGroupoid):
+        if s != model.structure:
+            raise ValueError("structure must be the doubled structure of the model")
+    else:
+        raise TypeError("model must be a GroupLaw or a PairGroupoid")
 
 
 def _tripled_structure(s: NambuStructure) -> NambuStructure:
@@ -294,18 +310,12 @@ class MultiplicativityReport:
 
 def multiplicativity_check(model: GroupoidModel, s: NambuStructure) -> MultiplicativityReport:
     """Decide multiplicativity on the composition graph; cross-check for groups."""
+    _require_model_structure(model, s)
+    graph = coisotropy_check(_tripled_structure(s), model.multiplication_graph())
+    translation = None
     if isinstance(model, GroupLaw):
-        if s.chart != model.chart:
-            raise ValueError("structure must live on the group chart")
-        graph = coisotropy_check(_tripled_structure(s), model.multiplication_graph())
-        report = MultiplicativityReport(graph, translation_identity_defects(model, s))
-    elif isinstance(model, PairGroupoid):
-        if s != model.structure:
-            raise ValueError("structure must be the doubled structure of the model")
-        graph = coisotropy_check(_tripled_structure(s), model.multiplication_graph())
-        report = MultiplicativityReport(graph, None)
-    else:
-        raise TypeError("model must be a GroupLaw or a PairGroupoid")
+        translation = translation_identity_defects(model, s)
+    report = MultiplicativityReport(graph, translation)
     if not report.agree:
         raise AssertionError("graph and translation routes disagree")
     return report
@@ -333,18 +343,12 @@ class TheoremDiagnostics:
 
 
 def theorem_diagnostics(model: GroupoidModel, s: NambuStructure) -> TheoremDiagnostics:
+    _require_model_structure(model, s)
+    unit = coisotropy_check(s, model.unit_submanifold())
     if isinstance(model, GroupLaw):
-        if s.chart != model.chart:
-            raise ValueError("structure must live on the group chart")
-        unit = coisotropy_check(s, model.unit_submanifold())
         # the base is a point: lifted functions are constants, so the
         # dependence and mixed-contraction conditions hold vacuously
         return TheoremDiagnostics(unit, True, None, True, None)
-    if not isinstance(model, PairGroupoid):
-        raise TypeError("model must be a GroupLaw or a PairGroupoid")
-    if s != model.structure:
-        raise ValueError("structure must be the doubled structure of the model")
-    unit = coisotropy_check(s, model.unit_submanifold())
     base = model.base.chart
     m, n = base.dim, s.order
     bx, by = model.blocks
@@ -411,16 +415,8 @@ class InversionReport:
 
 def inversion_check(model: GroupoidModel, s: NambuStructure) -> InversionReport:
     """Inversion reverses the structure up to the parity sign of the order."""
-    if isinstance(model, GroupLaw):
-        if s.chart != model.chart:
-            raise ValueError("structure must live on the group chart")
-        phi = model.inv
-    elif isinstance(model, PairGroupoid):
-        if s != model.structure:
-            raise ValueError("structure must be the doubled structure of the model")
-        phi = model.inversion_map()
-    else:
-        raise TypeError("model must be a GroupLaw or a PairGroupoid")
+    _require_model_structure(model, s)
+    phi = model.inv if isinstance(model, GroupLaw) else model.inversion_map()
     rel = relatedness_check(phi, s, s)
     return InversionReport(rel, inversion_identity_defects(phi, s))
 
@@ -447,14 +443,9 @@ def base_structure(
     up to the parity sign; an obstruction raises since it would contradict
     base-only dependence of source-lifted brackets.
     """
+    _require_model_structure(model, s)
     if isinstance(model, GroupLaw):
-        if s.chart != model.chart:
-            raise ValueError("structure must live on the group chart")
         return PointStructure(s.order)
-    if not isinstance(model, PairGroupoid):
-        raise TypeError("model must be a GroupLaw or a PairGroupoid")
-    if s != model.structure:
-        raise ValueError("structure must be the doubled structure of the model")
     rep = coinduce(model.source_map(), s, degree)
     if not rep.coinduced:
         raise ValueError(

@@ -172,9 +172,8 @@ _PREC = {"+": 0, "-": 0, "^": 1, "*": 2}
 
 def render_expr(e: Expr, context: int = 0) -> str:
     if isinstance(e, Num):
-        v = e.value
-        body = str(v.numerator) if v.denominator == 1 else f"{v.numerator}/{v.denominator}"
-        if v < 0:
+        body = str(e.value)
+        if e.value < 0:
             return body if context <= 0 else f"({body})"
         return body
     if isinstance(e, Name):
@@ -258,10 +257,7 @@ class GroupDecl:
         if self.kind == "heisenberg":
             return f"group {self.name} := heisenberg"
         mult = ", ".join(render_expr(e) for e in self.mult)
-        unit = ", ".join(
-            str(u) if u.denominator == 1 else f"{u.numerator}/{u.denominator}"
-            for u in self.unit
-        )
+        unit = ", ".join(str(u) for u in self.unit)
         inv = ", ".join(render_expr(e) for e in self.inv)
         return (
             f"group {self.name} := law {self.chart} "
@@ -494,6 +490,11 @@ class _Parser:
             opt = self.next()
             if opt.text != "degree":
                 raise ParseError(f"unknown option --{opt.text}", opt.line, opt.col)
+            if kind != "fi":
+                raise ParseError(
+                    f"--degree applies only to check fi, not check {kind}",
+                    opt.line, opt.col,
+                )
             degree = int(self.expect("NUM").text)
         return CheckCommand(kind, args, degree)
 
@@ -526,13 +527,19 @@ class _Parser:
         if self.at_sym("-"):
             self.next()
             negative = True
-        num = int(self.expect("NUM").text)
-        den = 1
-        if self.at_sym("/"):
-            self.next()
-            den = int(self.expect("NUM").text)
-        value = Fraction(num, den)
+        value = self.number()
         return -value if negative else value
+
+    def number(self) -> Fraction:
+        """NUM ["/" NUM]; a zero denominator is an error at its token."""
+        num = int(self.expect("NUM").text)
+        if not self.at_sym("/"):
+            return Fraction(num)
+        self.next()
+        t = self.expect("NUM")
+        if int(t.text) == 0:
+            raise ParseError("zero denominator", t.line, t.col)
+        return Fraction(num, int(t.text))
 
     # expressions
 
@@ -570,13 +577,7 @@ class _Parser:
     def atom(self) -> Expr:
         t = self.peek()
         if t.kind == "NUM":
-            self.next()
-            num = int(t.text)
-            if self.at_sym("/"):
-                self.next()
-                den = int(self.expect("NUM").text)
-                return Num(Fraction(num, den))
-            return Num(Fraction(num))
+            return Num(self.number())
         if self.at_sym("@"):
             self.next()
             return FieldAtom(self.expect("ID").text)

@@ -159,10 +159,6 @@ class Poly:
             return -1
         return max(sum(e) for e in self.terms)
 
-    def constant_value(self) -> Rat:
-        """The coefficient of the constant monomial."""
-        return self.terms.get((0,) * self.chart.dim, Fraction(0))
-
     def mentions(self, coord: str) -> bool:
         i = self.chart.index(coord)
         return any(e[i] for e in self.terms)

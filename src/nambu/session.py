@@ -9,7 +9,7 @@ run with an ERROR report appended to the partial list.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Optional, Union
 
@@ -118,8 +118,6 @@ class RunResult:
 
 
 def describe(v: Bound) -> str:
-    if isinstance(v, Fraction):
-        return str(v) if v.denominator == 1 else f"{v.numerator}/{v.denominator}"
     if isinstance(v, Poly):
         return v.canonical_str()
     if isinstance(v, GradedTensor):
@@ -234,10 +232,7 @@ def eval_expr(env: Environment, e: Expr, override: Optional[Chart] = None) -> Va
         if isinstance(v, Fraction):
             return v ** e.exponent
         if isinstance(v, Poly):
-            out = Poly.one(v.chart)
-            for _ in range(e.exponent):
-                out = out * v
-            return out
+            return v ** e.exponent
         raise SemanticError(f"cannot raise a {_kind(v)} to a power")
     if isinstance(e, BinOp):
         a = eval_expr(env, e.left, override)
@@ -288,12 +283,6 @@ def _binop(op: str, a: Value, b: Value) -> Value:
             "or an integer literal exponent for powers"
         )
     raise SemanticError(f"unknown operator {op!r}")
-
-
-def _value_text(v: Value) -> str:
-    if isinstance(v, Fraction):
-        return describe(v)
-    return v.canonical_str()
 
 
 def _structure(env: Environment, name: str) -> NambuStructure:
@@ -389,21 +378,9 @@ class Runner:
 
     def command(self, st: Statement) -> Report:
         start = time.perf_counter()
-        try:
-            rep = self._dispatch(st)
-        except SemanticError:
-            raise
+        rep = self._dispatch(st)
         ms = int((time.perf_counter() - start) * 1000)
-        return Report(
-            command=rep.command,
-            inputs=rep.inputs,
-            verdict=rep.verdict,
-            witness=rep.witness,
-            value=rep.value,
-            seed=rep.seed,
-            degree=rep.degree,
-            timing_ms=ms,
-        )
+        return replace(rep, timing_ms=ms)
 
     def _inputs(self, names: tuple[str, ...]) -> tuple[tuple[str, str], ...]:
         return tuple((n, describe(self.env.value(n))) for n in names)
@@ -413,7 +390,7 @@ class Runner:
         echo = st.canonical_text()
         if isinstance(st, ExprStatement):
             v = eval_expr(env, st.expr)
-            return Report(echo, (), PASS, value=_value_text(v))
+            return Report(echo, (), PASS, value=describe(v))
         if isinstance(st, EvalCommand):
             s = _structure(env, st.target)
             inputs = self._inputs((st.target,))

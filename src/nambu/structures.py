@@ -15,7 +15,7 @@ reported as such; refutation is sound and comes with a concrete witness.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from typing import Mapping, Optional, Sequence
@@ -28,6 +28,7 @@ from .exterior import (
     evaluate,
     interior_product,
     lift_tensor,
+    wedge_all,
 )
 from .ratpoly import Chart, Poly, Rat, Scalar, monomials_up_to
 
@@ -42,7 +43,6 @@ class NambuStructure:
     `factors` and `product_of` are optional construction records used by
     `sufficient_nambu`: they remember that the tensor was built as a wedge
     of vector fields, or as a block product of two smaller structures.
-    `status` is append-only check history.
     """
 
     chart: Chart
@@ -50,7 +50,6 @@ class NambuStructure:
     tensor: MultiVec
     factors: Optional[tuple[MultiVec, ...]] = None
     product_of: Optional[tuple["NambuStructure", tuple[int, ...], "NambuStructure", tuple[int, ...]]] = None
-    status: list = field(default_factory=list)
 
     def __post_init__(self) -> None:
         if not (2 <= self.order <= self.chart.dim):
@@ -82,11 +81,9 @@ def structure_from_fields(fields_: Sequence[MultiVec]) -> NambuStructure:
     """Wedge the given vector fields, remembering them for certification."""
     if len(fields_) < 2:
         raise ValueError("need at least two vector fields")
-    chart = fields_[0].chart
-    acc = fields_[0]
-    for f in fields_[1:]:
-        acc = acc.wedge(f)
-    return NambuStructure(chart, len(fields_), acc, factors=tuple(fields_))
+    return NambuStructure(
+        fields_[0].chart, len(fields_), wedge_all(fields_), factors=tuple(fields_)
+    )
 
 
 def block_product(
@@ -235,20 +232,12 @@ def fi_check(s: NambuStructure, degree: int = 2) -> FiReport:
             defect = evaluate(d, _differentials(gs))
             if not defect.is_zero:
                 w = FiWitness(tuple(fs), tuple(gs), defect)
-                report = FiReport(REFUTED, degree, (f_count, 0), w)
-                s.status.append(("fi_refuted", degree, w))
-                return report
+                return FiReport(REFUTED, degree, (f_count, 0), w)
         raise AssertionError(
             "nonzero Lie defect without a monomial witness; coordinate tuples "
             "should already expose every nonzero component"
         )
-    report = FiReport(VERIFIED_ON_FAMILY, degree, (f_count, 0))
-    s.status.append(("fi_verified", degree))
-    return report
-
-
-def is_fi_verified(s: NambuStructure) -> bool:
-    return any(tag and tag[0] == "fi_verified" for tag in s.status)
+    return FiReport(VERIFIED_ON_FAMILY, degree, (f_count, 0))
 
 
 @dataclass(frozen=True)
@@ -299,10 +288,7 @@ def sufficient_nambu(s: NambuStructure) -> Certificate:
     if s.order == s.chart.dim:
         return Certificate("top_degree", "order equals chart dimension")
     if s.factors is not None:
-        acc = s.factors[0]
-        for f in s.factors[1:]:
-            acc = acc.wedge(f)
-        if acc != s.tensor:
+        if wedge_all(s.factors) != s.tensor:
             raise ValueError("recorded factors do not multiply to the tensor")
         for i in range(len(s.factors)):
             for j in range(i + 1, len(s.factors)):

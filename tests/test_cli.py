@@ -127,6 +127,11 @@ class TestParseStatements:
         (s,) = parse("check fi pi --degree 3").statements
         assert s.degree == 3
 
+    def test_degree_option_only_after_check_fi(self):
+        for src in ("check wlfb pi --degree 5", "check coisotropic pi N --degree 3"):
+            with pytest.raises(ParseError, match="only to check fi"):
+                parse(src)
+
     def test_unknown_check_rejected(self):
         with pytest.raises(ParseError, match="unknown check"):
             parse("check flatness pi")
@@ -182,6 +187,11 @@ class TestExprGrammar:
 
     def test_rational_literal(self):
         assert parse_expression("3/2") == Num(Fraction(3, 2))
+
+    def test_zero_denominator_is_a_parse_error(self):
+        with pytest.raises(ParseError, match="zero denominator") as exc:
+            parse_expression("1/0")
+        assert (exc.value.line, exc.value.col) == (1, 3)
 
     def test_form_atom_needs_identifier(self):
         assert parse_expression("d x1") == FormAtom("x1")
@@ -548,6 +558,20 @@ class TestCliProcess:
         f.write_text("chart M (x,\n")
         assert main(["run", str(f)]) == 2
         assert "parse error" in capsys.readouterr().err
+
+    def test_degree_on_other_check_exit_two(self, tmp_path, capsys):
+        f = tmp_path / "s.nmb"
+        f.write_text(VOL_PRELUDE + "check wlfb pi --degree 5\n")
+        assert main(["run", str(f)]) == 2
+        assert capsys.readouterr().err.startswith("parse error:")
+
+    @pytest.mark.parametrize("text", [
+        "chart M (x, y, z); 1/0",
+        "chart M (x, y); group G := law M mult (x + x', y + y') unit (1/0, 0) inv (-x, -y)",
+    ])
+    def test_zero_denominator_exit_two(self, text, capsys):
+        assert main(["eval", text]) == 2
+        assert capsys.readouterr().err.startswith("parse error:")
 
     def test_run_missing_file_exit_two(self, capsys):
         assert main(["run", "/no/such/file.nmb"]) == 2

@@ -1,6 +1,10 @@
 """Group laws, pair models, multiplicativity, and the subgroupoid chain."""
 
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -228,6 +232,39 @@ class TestPairGroupoid:
         other = NambuStructure(pg.total, 3, pg.structure.tensor.scale(2))
         with pytest.raises(ValueError):
             multiplicativity_check(pg, other)
+
+    def test_every_model_check_rejects_the_same_inputs(self):
+        pg = PairGroupoid(VOL3)
+        checks = (multiplicativity_check, theorem_diagnostics, inversion_check, base_structure)
+        for check in checks:
+            with pytest.raises(ValueError, match="must live on the group chart"):
+                check(heisenberg_group(), VOL3)
+            with pytest.raises(ValueError, match="must be the doubled structure"):
+                check(pg, VOL3)
+            with pytest.raises(TypeError, match="GroupLaw or a PairGroupoid"):
+                check(VOL3, VOL3)
+
+    def test_structure_map_check_survives_optimize_flag(self):
+        # the construction-time sanity check must not be an assert that -O strips
+        script = (
+            "from nambu.geomaps import PolyMap\n"
+            "from nambu.groupoids import PairGroupoid\n"
+            "from nambu.ratpoly import chart\n"
+            "from nambu.structures import volume_structure\n"
+            "PairGroupoid.inversion_map = lambda self: PolyMap.identity(self.total)\n"
+            "try:\n"
+            "    PairGroupoid(volume_structure(chart('x y z')))\n"
+            "except AssertionError:\n"
+            "    raise SystemExit(0)\n"
+            "raise SystemExit('constructed a pair model with a broken inversion map')\n"
+        )
+        src = Path(__file__).resolve().parent.parent / "src"
+        done = subprocess.run(
+            [sys.executable, "-O", "-c", script],
+            env={**os.environ, "PYTHONPATH": str(src)},
+            capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
 
     def test_multiplicativity_implies_diagnostics(self):
         h = heisenberg_group()

@@ -159,7 +159,8 @@ class TestFiCheck:
         s = volume_structure(R3)
         r = fi_check(s, 2)
         assert r.verified
-        assert ("fi_verified", 2) in s.status
+        assert fi_check(s, 2) == r
+        assert s == volume_structure(R3)
 
     def test_scaled_volume_verified(self):
         assert fi_check(scaled_vol(Poly.one(R3) + x1), 2).verified
