@@ -8,6 +8,11 @@ by dx_k and D_k for the coordinate partial applied to coefficients,
     [P, Q] = (-1)^(p-1) sum_k i_k(P) ^ D_k(Q)
              - (-1)^((p-1)(q-1)) (-1)^(q-1) sum_k i_k(Q) ^ D_k(P)
 
+Both sums are accumulated in one pass, term by term, into a single map from
+index tuples to coefficients; no intermediate tensor is built, and D_k of a
+component is taken at most once per call, only where a contracted term
+meets it.
+
 This choice is pinned down (and the tests enforce it) by three identities:
 
     [X, Q] = L_X Q                                  for vector fields X
@@ -54,27 +59,6 @@ def de_rham_d(omega: Union[Poly, Form]) -> Form:
     return Form(chart, omega.grade + 1, acc)
 
 
-def _contract_index(t: MultiVec, k: int) -> MultiVec:
-    """Interior product by the coordinate differential dx_k."""
-    if t.grade == 0:
-        return MultiVec.zero(t.chart, 0)
-    acc: dict[tuple[int, ...], Poly] = {}
-    for idx, p in t.comps.items():
-        for j, pos in enumerate(idx):
-            if pos != k:
-                continue
-            key = idx[:j] + idx[j + 1 :]
-            term = p if j % 2 == 0 else -p
-            q = acc.get(key)
-            acc[key] = term if q is None else q + term
-            break
-    return MultiVec(t.chart, t.grade - 1, acc)
-
-
-def _partial_tensor(t: MultiVec, k: int) -> MultiVec:
-    return MultiVec(t.chart, t.grade, {i: p.partial(k) for i, p in t.comps.items()})
-
-
 def schouten(p: Union[Poly, MultiVec], q: Union[Poly, MultiVec]) -> MultiVec:
     """Schouten bracket of multivector fields (grade 0 means a function)."""
     if isinstance(p, Poly):
@@ -86,24 +70,36 @@ def schouten(p: Union[Poly, MultiVec], q: Union[Poly, MultiVec]) -> MultiVec:
     gp, gq = p.grade, q.grade
     if gp + gq < 1:
         raise ValueError("bracket of two functions is not defined")
-    chart = p.chart
-    acc = MultiVec.zero(chart, gp + gq - 1)
     sign_a = 1 if (gp - 1) % 2 == 0 else -1
     sign_b = 1 if ((gp - 1) * (gq - 1) + (gq - 1)) % 2 == 0 else -1
-    for k in range(chart.dim):
-        if gp >= 1:
-            ip = _contract_index(p, k)
-            if not ip.is_zero:
-                dq = _partial_tensor(q, k)
-                if not dq.is_zero:
-                    acc = acc + ip.wedge(dq).scale(sign_a)
-        if gq >= 1:
-            iq = _contract_index(q, k)
-            if not iq.is_zero:
-                dp = _partial_tensor(p, k)
-                if not dp.is_zero:
-                    acc = acc - iq.wedge(dp).scale(sign_b)
-    return acc
+    acc: dict[tuple[int, ...], Poly] = {}
+    for k in range(p.chart.dim):
+        # sign * i_k(a) ^ D_k(b); i_k takes the sign (-1)^j of dropping
+        # position j, D_k(b) is taken per component only where it is used.
+        for sign, a, b in ((sign_a, p, q), (-sign_b, q, p)):
+            partials: dict[tuple[int, ...], Poly] = {}
+            for idx, pa in a.comps.items():
+                if k not in idx:
+                    continue
+                j = idx.index(k)
+                key = idx[:j] + idx[j + 1 :]
+                sign_j = sign if j % 2 == 0 else -sign
+                for idx_b, pb in b.comps.items():
+                    sorted_ = sort_with_sign(key + idx_b)
+                    if sorted_ is None:
+                        continue
+                    db = partials.get(idx_b)
+                    if db is None:
+                        db = partials[idx_b] = pb.partial(k)
+                    if db.is_zero:
+                        continue
+                    s, out = sorted_
+                    term = pa * db
+                    if s != sign_j:
+                        term = -term
+                    prev = acc.get(out)
+                    acc[out] = term if prev is None else prev + term
+    return MultiVec(p.chart, gp + gq - 1, acc)
 
 
 def lie_derivative(

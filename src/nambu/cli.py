@@ -76,6 +76,17 @@ def _eval(args: argparse.Namespace) -> int:
     return 0
 
 
+def _degree(text: str) -> int:
+    """A sweep degree: an integer of at least 1 (degree 0 samples only constants)."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"degree must be at least 1, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="nambu",
@@ -89,14 +100,14 @@ def build_parser() -> argparse.ArgumentParser:
                       help="also write a report-v1 JSON document (- for stdout)")
     runp.add_argument("--seed", type=int, default=0,
                       help="seed for randomized checks (default 0)")
-    runp.add_argument("--degree", type=int, default=2,
+    runp.add_argument("--degree", type=_degree, default=2,
                       help="sweep degree for family checks (default 2)")
     runp.set_defaults(func=_run)
 
     evalp = sub.add_parser("eval", help="run inline statements, print last value")
     evalp.add_argument("text", help="statements separated by ; or newlines")
     evalp.add_argument("--seed", type=int, default=0)
-    evalp.add_argument("--degree", type=int, default=2)
+    evalp.add_argument("--degree", type=_degree, default=2)
     evalp.set_defaults(func=_eval)
     return ap
 

@@ -202,7 +202,12 @@ def form_bracket_properties(
     fundamental: the n-ary Jacobi-type identity, first group closed.
     morphism: sharp turns the bracket into the vector-field bracket,
     first group closed.
+
+    Sampled coefficients have total degree at most `degree`, which must be
+    at least 1: constant samples would make every property hold vacuously.
     """
+    if degree < 1:
+        raise ValueError("degree must be at least 1")
     n = s.order
     ch = s.chart
     smp = _Sampler(seed)
@@ -441,7 +446,12 @@ def wlfb_check(
     argument group closed; (leibniz) holds unrestricted; (compatibility)
     holds with the pinned slot extension. At order 2 the unrestricted
     variants of (fundamental) and (anchor) are additionally reported.
+
+    Sampled coefficients have total degree at most `degree`, which must be
+    at least 1: constant samples would make every axiom hold vacuously.
     """
+    if degree < 1:
+        raise ValueError("degree must be at least 1")
     n = s.order
     ch = s.chart
     smp = _Sampler(seed)

@@ -495,7 +495,10 @@ class _Parser:
                     f"--degree applies only to check fi, not check {kind}",
                     opt.line, opt.col,
                 )
-            degree = int(self.expect("NUM").text)
+            t = self.expect("NUM")
+            degree = int(t.text)
+            if degree < 1:
+                raise ParseError("--degree must be at least 1", t.line, t.col)
         return CheckCommand(kind, args, degree)
 
     def eval_command(self) -> EvalCommand:

@@ -1,6 +1,8 @@
 """Exact multivariate polynomial arithmetic over the rationals.
 
-Coefficients are `fractions.Fraction` values (aliased as `Rat`), so every
+Coefficients are exact rationals: a stored coefficient is an `int` when it
+is integral and a reduced `fractions.Fraction` (aliased as `Rat`) otherwise,
+so integer arithmetic, the common case, never pays for fractions. Every
 operation in the package is exact: no floats, no rounding, no tolerances.
 Polynomials live on a `Chart`, an ordered list of coordinate names, and are
 stored sparsely as a map from exponent vectors to nonzero coefficients.
@@ -106,18 +108,32 @@ def grlex_key(exps: Exponents) -> tuple[int, Exponents]:
     return (sum(exps), exps)
 
 
+def _coeff(c: Scalar) -> Scalar:
+    """The stored form of a coefficient: an int when integral, else a reduced Fraction."""
+    if type(c) is int:
+        return c
+    c = Fraction(c)
+    return c.numerator if c.denominator == 1 else c
+
+
 class Poly:
-    """A polynomial with exact rational coefficients on a fixed chart."""
+    """A polynomial with exact rational coefficients on a fixed chart.
+
+    `terms` maps exponent vectors to nonzero coefficients, each an `int`
+    when integral and a `Fraction` with denominator > 1 otherwise. Since
+    `Fraction(3) == 3` and both hash alike, equality, hashing and the
+    canonical text do not depend on that choice.
+    """
 
     __slots__ = ("chart", "terms")
 
     def __init__(self, chart: Chart, terms: Mapping[Exponents, Scalar]) -> None:
-        clean: dict[Exponents, Rat] = {}
+        clean: dict[Exponents, Scalar] = {}
         dim = chart.dim
         for exps, coeff in terms.items():
             if len(exps) != dim or any(e < 0 for e in exps):
                 raise ValueError(f"bad exponent vector {exps} for chart of dim {dim}")
-            c = Fraction(coeff)
+            c = _coeff(coeff)
             if c:
                 clean[tuple(exps)] = c
         self.chart = chart
@@ -131,7 +147,7 @@ class Poly:
 
     @staticmethod
     def constant(chart: Chart, value: Scalar) -> "Poly":
-        return Poly(chart, {(0,) * chart.dim: Fraction(value)})
+        return Poly(chart, {(0,) * chart.dim: value})
 
     @staticmethod
     def one(chart: Chart) -> "Poly":
@@ -141,11 +157,11 @@ class Poly:
     def coordinate(chart: Chart, coord: str) -> "Poly":
         exps = [0] * chart.dim
         exps[chart.index(coord)] = 1
-        return Poly(chart, {tuple(exps): Fraction(1)})
+        return Poly(chart, {tuple(exps): 1})
 
     @staticmethod
     def monomial(chart: Chart, exps: Sequence[int], coeff: Scalar = 1) -> "Poly":
-        return Poly(chart, {tuple(exps): Fraction(coeff)})
+        return Poly(chart, {tuple(exps): coeff})
 
     # structure
 
@@ -186,9 +202,9 @@ class Poly:
         self._require_same_chart(other)
         acc = dict(self.terms)
         for exps, c in other.terms.items():
-            s = acc.get(exps, _ZERO) + c
+            s = acc.get(exps, 0) + c
             if s:
-                acc[exps] = s
+                acc[exps] = s if type(s) is int or s.denominator != 1 else s.numerator
             else:
                 acc.pop(exps, None)
         out = Poly.__new__(Poly)
@@ -213,13 +229,13 @@ class Poly:
         if not isinstance(other, Poly):
             return NotImplemented
         self._require_same_chart(other)
-        acc: dict[Exponents, Rat] = {}
+        acc: dict[Exponents, Scalar] = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
                 key = tuple(a + b for a, b in zip(e1, e2))
-                s = acc.get(key, _ZERO) + c1 * c2
+                s = acc.get(key, 0) + c1 * c2
                 if s:
-                    acc[key] = s
+                    acc[key] = s if type(s) is int or s.denominator != 1 else s.numerator
                 else:
                     acc.pop(key, None)
         out = Poly.__new__(Poly)
@@ -233,12 +249,16 @@ class Poly:
         return NotImplemented
 
     def scale(self, c: Scalar) -> "Poly":
-        c = Fraction(c)
+        c = _coeff(c)
         if not c:
             return Poly.zero(self.chart)
         out = Poly.__new__(Poly)
         out.chart = self.chart
-        out.terms = {e: c * v for e, v in self.terms.items()}
+        terms: dict[Exponents, Scalar] = {}
+        for e, v in self.terms.items():
+            s = c * v
+            terms[e] = s if type(s) is int or s.denominator != 1 else s.numerator
+        out.terms = terms
         return out
 
     def __pow__(self, k: int) -> "Poly":
@@ -266,15 +286,15 @@ class Poly:
     def partial(self, coord: Union[str, int]) -> "Poly":
         """Exact partial derivative with respect to one coordinate."""
         i = coord if isinstance(coord, int) else self.chart.index(coord)
-        acc: dict[Exponents, Rat] = {}
+        acc: dict[Exponents, Scalar] = {}
         for exps, c in self.terms.items():
             e = exps[i]
             if e == 0:
                 continue
             key = exps[:i] + (e - 1,) + exps[i + 1 :]
-            s = acc.get(key, _ZERO) + c * e
+            s = acc.get(key, 0) + c * e
             if s:
-                acc[key] = s
+                acc[key] = s if type(s) is int or s.denominator != 1 else s.numerator
             else:
                 acc.pop(key, None)
         out = Poly.__new__(Poly)
@@ -361,9 +381,6 @@ class Poly:
         return f"Poly({self.canonical_str()})"
 
 
-_ZERO = Fraction(0)
-
-
 def reduce_mod_solved(p: Poly, solved: Mapping[str, Poly]) -> Poly:
     """Normal form of `p` modulo equations x_s = p_s.
 
@@ -411,7 +428,7 @@ def lift_poly(p: Poly, big: Chart, positions: Sequence[int]) -> Poly:
     """Reinterpret `p` on a larger chart, coordinate i -> big coordinate positions[i]."""
     if len(positions) != p.chart.dim:
         raise ValueError("need one target position per source coordinate")
-    acc: dict[Exponents, Rat] = {}
+    acc: dict[Exponents, Scalar] = {}
     for exps, coeff in p.terms.items():
         big_exps = [0] * big.dim
         for i, e in enumerate(exps):

@@ -165,9 +165,16 @@ def hamiltonian_commutator_defect(
     return acc
 
 
+def _lie_defect(s: NambuStructure, dfs: Sequence[Form]) -> MultiVec:
+    """[X_F, Pi] with X_F = i_(dF) Pi, from the differentials dF."""
+    return schouten(interior_product(s.tensor, dfs), s.tensor)
+
+
 def lie_preservation_defect(s: NambuStructure, fs: Sequence[Poly]) -> MultiVec:
     """L_(X_F) Pi as a Schouten bracket; zero for every F exactly when Nambu."""
-    return schouten(hamiltonian_field(s, fs), s.tensor)
+    if len(fs) != s.order - 1:
+        raise ValueError(f"Hamiltonian field takes {s.order - 1} functions")
+    return _lie_defect(s, _differentials(fs))
 
 
 @dataclass(frozen=True)
@@ -190,6 +197,15 @@ class FiWitness:
 
 @dataclass(frozen=True)
 class FiReport:
+    """Outcome of `fi_check`.
+
+    `family_size` is (f-tuples swept, g-tuples evaluated). The first entry
+    counts every f-tuple whose Lie defect was computed, up to and including
+    the refuting one. The second is 0 on VERIFIED_ON_FAMILY, where no
+    g-tuple needs evaluating, and on REFUTED is the witness's 1-based
+    position among the g-tuples of the refuting f-tuple.
+    """
+
     verdict: str
     degree: int
     family_size: tuple[int, int]
@@ -216,23 +232,29 @@ def fi_check(s: NambuStructure, degree: int = 2) -> FiReport:
     reported witness defect is identical to the nested-bracket value, which
     `FiWitness.reverify` recomputes independently.
 
+    The differential of each monomial of the family is computed once per
+    sweep and shared by the f slots (X_F = i_(dF) Pi) and the g slots.
+
     Verification is relative to the swept family; refutation is sound.
     """
     if degree < 1:
         raise ValueError("degree must be at least 1")
     n = s.order
     mons = monomials_up_to(s.chart, degree)
+    family = list(zip(mons, _differentials(mons)))
     f_count = 0
-    for fs in combinations(mons, n - 1):
+    for f_pairs in combinations(family, n - 1):
         f_count += 1
-        d = lie_preservation_defect(s, fs)
+        d = _lie_defect(s, [df for _, df in f_pairs])
         if d.is_zero:
             continue
-        for gs in combinations(mons, n):
-            defect = evaluate(d, _differentials(gs))
+        for g_count, g_pairs in enumerate(combinations(family, n), 1):
+            defect = evaluate(d, [dg for _, dg in g_pairs])
             if not defect.is_zero:
-                w = FiWitness(tuple(fs), tuple(gs), defect)
-                return FiReport(REFUTED, degree, (f_count, 0), w)
+                fs = tuple(f for f, _ in f_pairs)
+                gs = tuple(g for g, _ in g_pairs)
+                w = FiWitness(fs, gs, defect)
+                return FiReport(REFUTED, degree, (f_count, g_count), w)
         raise AssertionError(
             "nonzero Lie defect without a monomial witness; coordinate tuples "
             "should already expose every nonzero component"

@@ -15,7 +15,7 @@ from nambu.cartan import de_rham_d, lie_derivative, schouten
 from nambu.exterior import Form, MultiVec, interior_product, pairing, wedge_all
 from nambu.ratpoly import Poly
 
-from _gen import R3, R4, form_strategy, multivec_strategy, poly_strategy
+from _gen import R3, R4, SeededSampler, form_strategy, multivec_strategy, poly_strategy
 
 x1 = Poly.coordinate(R3, "x1")
 x2 = Poly.coordinate(R3, "x2")
@@ -152,3 +152,73 @@ class TestSchouten:
         lhs = schouten(p, schouten(q, r))
         rhs = schouten(schouten(p, q), r) + schouten(q, schouten(p, r)).scale(sign)
         assert lhs == rhs
+
+
+def _reference_schouten(p, q):
+    """The per-k formula built from whole tensors: contract, differentiate, wedge, sum.
+
+    An independent restatement of the module docstring's formula, kept here
+    as the reference the one-pass accumulation must match.
+    """
+
+    def contract(t, k):
+        acc = {}
+        for idx, c in t.comps.items():
+            if k in idx:
+                j = idx.index(k)
+                acc[idx[:j] + idx[j + 1:]] = c if j % 2 == 0 else -c
+        return MultiVec(t.chart, max(t.grade - 1, 0), acc)
+
+    def differentiate(t, k):
+        return MultiVec(t.chart, t.grade, {i: c.partial(k) for i, c in t.comps.items()})
+
+    gp, gq = p.grade, q.grade
+    sign_a = 1 if (gp - 1) % 2 == 0 else -1
+    sign_b = 1 if ((gp - 1) * (gq - 1) + (gq - 1)) % 2 == 0 else -1
+    acc = MultiVec.zero(p.chart, gp + gq - 1)
+    for k in range(p.chart.dim):
+        if gp >= 1:
+            acc = acc + contract(p, k).wedge(differentiate(q, k)).scale(sign_a)
+        if gq >= 1:
+            acc = acc - contract(q, k).wedge(differentiate(p, k)).scale(sign_b)
+    return acc
+
+
+def _integral(t):
+    """The same tensor shape with every coefficient replaced by an integer."""
+    return MultiVec(t.chart, t.grade, {
+        i: Poly(t.chart, {e: c.numerator * 2 + 1 for e, c in p.terms.items()})
+        for i, p in t.comps.items()
+    })
+
+
+class TestOnePassSchouten:
+    GRADE_PAIRS = [(gp, gq) for gp in range(4) for gq in range(4) if gp + gq >= 1]
+
+    @pytest.mark.parametrize("gp,gq", GRADE_PAIRS)
+    @pytest.mark.parametrize("integral", [False, True], ids=["rational", "integer"])
+    def test_matches_reference_formula(self, gp, gq, integral):
+        smp = SeededSampler(100 * gp + 10 * gq + integral)
+        for _ in range(12):
+            p = smp.multivec(R4, gp)
+            q = smp.multivec(R4, gq)
+            if integral:
+                p, q = _integral(p), _integral(q)
+            got = schouten(p, q)
+            assert got == _reference_schouten(p, q)
+            assert got.grade == gp + gq - 1
+            for c in got.comps.values():
+                for v in c.terms.values():
+                    assert type(v) is int or v.denominator != 1
+                    if integral:
+                        assert type(v) is int
+
+    def test_functions_are_promoted(self):
+        f = x1 * x2
+        assert schouten(d1, f) == _reference_schouten(d1, MultiVec.from_poly(f))
+        assert schouten(f, d2.wedge(d3)) == _reference_schouten(
+            MultiVec.from_poly(f), d2.wedge(d3))
+
+    def test_two_functions_rejected(self):
+        with pytest.raises(ValueError):
+            schouten(x1, x2)

@@ -127,6 +127,11 @@ class TestParseStatements:
         (s,) = parse("check fi pi --degree 3").statements
         assert s.degree == 3
 
+    @pytest.mark.parametrize("degree", ["0", "00"])
+    def test_check_degree_below_one_rejected(self, degree):
+        with pytest.raises(ParseError, match="at least 1"):
+            parse(f"check fi pi --degree {degree}")
+
     def test_degree_option_only_after_check_fi(self):
         for src in ("check wlfb pi --degree 5", "check coisotropic pi N --degree 3"):
             with pytest.raises(ParseError, match="only to check fi"):
@@ -562,6 +567,41 @@ class TestCliProcess:
     def test_degree_on_other_check_exit_two(self, tmp_path, capsys):
         f = tmp_path / "s.nmb"
         f.write_text(VOL_PRELUDE + "check wlfb pi --degree 5\n")
+        assert main(["run", str(f)]) == 2
+        assert capsys.readouterr().err.startswith("parse error:")
+
+    # not a Nambu tensor: check fi refutes it, check wlfb fails at degrees 1
+    # and 2, and degree 0 would sample only constants and pass vacuously
+    NON_NAMBU = "chart M (x, y, z)\npi := z*(@x^@y) + y*y*(@y^@z) + x*(@x^@z)\ncheck wlfb pi\n"
+
+    def test_wlfb_fails_on_non_nambu_at_positive_degree(self, tmp_path, capsys):
+        f = tmp_path / "s.nmb"
+        f.write_text(self.NON_NAMBU)
+        for degree in ("1", "2"):
+            assert main(["run", str(f), "--degree", degree]) == 1
+            assert "FAIL  check wlfb pi" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("degree", ["0", "-1", "x", "1.5"])
+    def test_run_degree_below_one_is_usage_error(self, tmp_path, capsys, degree):
+        f = tmp_path / "s.nmb"
+        f.write_text(self.NON_NAMBU)
+        with pytest.raises(SystemExit) as exc:
+            main(["run", str(f), "--degree", degree])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "argument --degree" in captured.err
+
+    @pytest.mark.parametrize("degree", ["0", "-1"])
+    def test_eval_degree_below_one_is_usage_error(self, capsys, degree):
+        with pytest.raises(SystemExit) as exc:
+            main(["eval", "1 + 1", "--degree", degree])
+        assert exc.value.code == 2
+        assert "degree must be at least 1" in capsys.readouterr().err
+
+    def test_check_fi_degree_zero_exit_two(self, tmp_path, capsys):
+        f = tmp_path / "s.nmb"
+        f.write_text(VOL_PRELUDE + "check fi pi --degree 0\n")
         assert main(["run", str(f)]) == 2
         assert capsys.readouterr().err.startswith("parse error:")
 

@@ -181,6 +181,13 @@ class TestWlfb:
     def test_higher_order_reports_no_unrestricted(self):
         assert wlfb_check(VOL3, trials=1, degree=1, seed=0).unrestricted == ()
 
+    @pytest.mark.parametrize("check", [wlfb_check, form_bracket_properties])
+    @pytest.mark.parametrize("degree", [0, -1])
+    def test_degree_must_be_positive(self, check, degree):
+        # degree 0 samples only constants, under which every axiom holds
+        with pytest.raises(ValueError, match="degree must be at least 1"):
+            check(XVOL, trials=1, degree=degree, seed=0)
+
     def test_compatibility_defect_zero_on_seeded_forms(self):
         sampler = SeededSampler(71)
         for s in (VOL3, XVOL):

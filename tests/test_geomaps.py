@@ -316,6 +316,14 @@ class TestRPhi:
 
 
 class TestCoinduce:
+    @pytest.mark.parametrize("degree", [0, -1])
+    def test_degree_must_be_positive(self, degree):
+        R4 = chart("x1 x2 x3 x4")
+        proj = PolyMap.projection(R4, R3, ["x1", "x2", "x3"])
+        block = NambuStructure(R4, 3, MultiVec(R4, 3, {(0, 1, 2): Poly.one(R4)}))
+        with pytest.raises(ValueError, match="degree must be at least 1"):
+            coinduce(proj, block, degree)
+
     def test_block_tensor_descends(self):
         R4 = chart("x1 x2 x3 x4")
         proj = PolyMap.projection(R4, R3, ["x1", "x2", "x3"])

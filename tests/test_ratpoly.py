@@ -3,7 +3,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, settings, strategies as st
 
 from nambu.ratpoly import (
     Chart,
@@ -93,6 +93,49 @@ class TestArithmetic:
         pt = {"x1": Fraction(2, 3), "x2": Fraction(-1, 2)}
         assert (a * b).eval_at(pt) == a.eval_at(pt) * b.eval_at(pt)
         assert (a + b).eval_at(pt) == a.eval_at(pt) + b.eval_at(pt)
+
+
+def _stored_forms_ok(q):
+    """Every coefficient is an int, or a Fraction that is not integral."""
+    return all(
+        type(c) is int or (type(c) is Fraction and c.denominator != 1)
+        for c in q.terms.values()
+    )
+
+
+class TestIntegerFirstCoefficients:
+    def test_integral_fraction_equals_int(self):
+        e = (1, 0, 2)
+        a, b = Poly(R3, {e: Fraction(3)}), Poly(R3, {e: 3})
+        assert a == b and hash(a) == hash(b)
+        assert a.canonical_str() == b.canonical_str() == "3*x1*x3^2"
+        assert type(a.terms[e]) is int
+
+    def test_integral_results_are_ints(self):
+        half = Fraction(1, 2)
+        h = p(R3, {(1, 0, 0): half, (0, 1, 0): half})
+        for q in (h + h, h * 2, h.scale(Fraction(4)), 2 * h,
+                  p(R3, {(2, 0, 0): half}).partial("x1"),
+                  p(R3, {(1, 0, 0): Fraction(2, 3)}) * p(R3, {(0, 1, 0): Fraction(3, 2)}),
+                  p(R3, {(0, 0, 0): half}) ** 0):
+            assert _stored_forms_ok(q)
+            assert all(type(c) is int for c in q.terms.values()), q.terms
+
+    def test_non_integral_stays_fraction(self):
+        q = x1.scale(Fraction(2, 4))
+        assert q.terms == {(1, 0, 0): Fraction(1, 2)}
+        assert type(q.terms[(1, 0, 0)]) is Fraction
+
+    @given(poly_strategy(R2), poly_strategy(R2), st.sampled_from(
+        [Fraction(1, 2), Fraction(2), Fraction(-3, 2), 2, -1, 0]))
+    @settings(max_examples=80, deadline=None)
+    def test_every_operation_stores_normal_forms(self, a, b, c):
+        uv = chart("u v")
+        images = {"x1": Poly(uv, {(1, 0): Fraction(1, 2), (0, 1): 2}),
+                  "x2": Poly(uv, {(0, 1): Fraction(2, 3), (0, 0): Fraction(3, 2)})}
+        for q in (a, a + b, a - b, -a, a * b, a.scale(c), c * a,
+                  a.partial("x1"), a.partial(1), a.substitute(uv, images), a ** 2, b ** 3):
+            assert _stored_forms_ok(q), q.terms
 
 
 class TestDerivative:

@@ -188,6 +188,28 @@ class TestFiCheck:
         with pytest.raises(ValueError):
             fi_check(VOL3, 0)
 
+    def test_family_size_on_verified(self):
+        from math import comb
+
+        # R3 at degree 2 has 9 monomials; order 3 sweeps pairs of them
+        assert fi_check(volume_structure(R3), 2).family_size == (comb(9, 2), 0)
+
+    def test_family_size_on_refuted_counts_to_the_witness(self):
+        from itertools import combinations
+        from nambu.ratpoly import monomials_up_to
+
+        s = r6_sum()
+        r = fi_check(s, 2)
+        mons = monomials_up_to(s.chart, 2)
+        f_pos = list(combinations(mons, s.order - 1)).index(r.witness.fs) + 1
+        g_pos = list(combinations(mons, s.order)).index(r.witness.gs) + 1
+        assert r.family_size == (f_pos, g_pos)
+        assert g_pos > 1
+
+    def test_lie_defect_takes_n_minus_1_functions(self):
+        with pytest.raises(ValueError, match="takes 2 functions"):
+            lie_preservation_defect(VOL3, [x1])
+
     def test_defect_routes_agree_on_refuted_case(self):
         s = r6_sum()
         w = fi_check(s, 2).witness
