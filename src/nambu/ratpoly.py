@@ -5,7 +5,22 @@ is integral and a reduced `fractions.Fraction` (aliased as `Rat`) otherwise,
 so integer arithmetic, the common case, never pays for fractions. Every
 operation in the package is exact: no floats, no rounding, no tolerances.
 Polynomials live on a `Chart`, an ordered list of coordinate names, and are
-stored sparsely as a map from exponent vectors to nonzero coefficients.
+stored sparsely as a map from packed monomials to nonzero coefficients.
+
+A packed monomial is one int that holds a whole exponent vector: the
+exponent of coordinate i sits in the 32-bit field at bits [32i, 32i + 32).
+Every stored exponent is at most MAX_EXPONENT = 2**31 - 1, so the top bit
+of each field, its guard bit, is clear, and the sum of two exponents never
+carries into the next field. Multiplying two monomials is then one integer
+addition and a partial derivative one subtraction of 1 << 32i. A product
+whose key has a guard bit set has an exponent above the bound and raises
+ValueError. The layout is fixed little-endian, whatever the host's byte
+order.
+
+A product of two polynomials writes each operand as integer numerators
+over one common denominator (the lcm of its coefficient denominators, 1
+for an integer polynomial), adds keys and multiplies integers only, and
+divides once per result term.
 
 The canonical text form orders terms by graded lexicographic order (total
 degree first, then exponent vector), highest term first:
@@ -16,14 +31,25 @@ degree first, then exponent vector), highest term first:
 from __future__ import annotations
 
 import re
+import struct
+from collections.abc import ItemsView, MutableMapping, ValuesView
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import reduce
 from itertools import combinations_with_replacement
-from typing import Iterable, Iterator, Mapping, Sequence, Union
+from math import lcm
+from operator import attrgetter, or_
+from typing import Iterator, Mapping, Sequence, Union
 
 Rat = Fraction
 Exponents = tuple[int, ...]
 Scalar = Union[Rat, int]
+
+MAX_EXPONENT = 2**31 - 1
+_FIELD_BITS = 32
+_FIELD_MASK = (1 << _FIELD_BITS) - 1
+_TOO_HIGH = f"exponent above {MAX_EXPONENT}"
+_denominator = attrgetter("denominator")
 
 _IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*'*\Z")
 
@@ -38,10 +64,15 @@ class Chart:
 
     Identity is structural: two charts are equal when they list the same
     coordinate names in the same order. The display name is a label only.
+    A chart also fixes the packed-monomial layout of its polynomials: one
+    little-endian 32-bit field per coordinate, and the mask of their guard
+    bits.
     """
 
     coords: tuple[str, ...]
     name: str = field(default="", compare=False)
+    _layout: struct.Struct = field(init=False, repr=False, compare=False)
+    _guard: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if len(self.coords) < 1:
@@ -53,6 +84,11 @@ class Chart:
             if c in seen:
                 raise ValueError(f"repeated coordinate {c!r}")
             seen.add(c)
+        dim = len(self.coords)
+        object.__setattr__(self, "_layout", struct.Struct(f"<{dim}I"))
+        object.__setattr__(
+            self, "_guard", sum(1 << (_FIELD_BITS * i + _FIELD_BITS - 1) for i in range(dim))
+        )
 
     @property
     def dim(self) -> int:
@@ -67,6 +103,22 @@ class Chart:
     @property
     def label(self) -> str:
         return self.name or "(" + ", ".join(self.coords) + ")"
+
+    def _pack(self, exps: Sequence[int]) -> int:
+        """The packed key of an exponent vector, checked against this chart and the bound."""
+        try:
+            key = int.from_bytes(self._layout.pack(*exps), "little")
+            if not key & self._guard:
+                return key
+        except struct.error:
+            pass
+        # wrong length, a negative or non-integer exponent, or one above the bound
+        if len(exps) != self.dim or any(not isinstance(e, int) or e < 0 for e in exps):
+            raise ValueError(f"bad exponent vector {exps} for chart of dim {self.dim}")
+        raise ValueError(_TOO_HIGH)
+
+    def _unpack(self, key: int) -> Exponents:
+        return self._layout.unpack(key.to_bytes(self._layout.size, "little"))
 
     def __repr__(self) -> str:
         return f"Chart({self.label})"
@@ -116,48 +168,126 @@ def _coeff(c: Scalar) -> Scalar:
     return c.numerator if c.denominator == 1 else c
 
 
+def _from_packed(chart: Chart, terms: dict[int, Scalar]) -> "Poly":
+    """A Poly over already packed keys and stored coefficients, unchecked."""
+    out = Poly.__new__(Poly)
+    out.chart = chart
+    out._terms = terms
+    return out
+
+
+def _over(terms: dict[int, Scalar], den: int) -> list[tuple[int, int]]:
+    """(key, integer numerator) pairs of `terms` over the common denominator `den`."""
+    return [(k, c.numerator * (den // c.denominator)) for k, c in terms.items()]
+
+
+class _TermsView(MutableMapping):
+    """A Poly's terms keyed by exponent tuples.
+
+    Keys are unpacked as they are read; `len` and `values` read the packed
+    map directly. A write goes to the polynomial, in stored form.
+    """
+
+    __slots__ = ("_poly",)
+
+    def __init__(self, poly: "Poly") -> None:
+        self._poly = poly
+
+    def __len__(self) -> int:
+        return len(self._poly._terms)
+
+    def __iter__(self) -> Iterator[Exponents]:
+        return map(self._poly.chart._unpack, self._poly._terms)
+
+    def __getitem__(self, exps: Exponents) -> Scalar:
+        try:
+            key = self._poly.chart._pack(exps)
+        except (TypeError, ValueError):
+            raise KeyError(exps) from None
+        return self._poly._terms[key]
+
+    def __setitem__(self, exps: Exponents, coeff: Scalar) -> None:
+        key = self._poly.chart._pack(exps)
+        c = _coeff(coeff)
+        if c:
+            self._poly._terms[key] = c
+        else:
+            self._poly._terms.pop(key, None)
+
+    def __delitem__(self, exps: Exponents) -> None:
+        del self._poly._terms[self._poly.chart._pack(exps)]
+
+    def values(self) -> ValuesView[Scalar]:
+        return self._poly._terms.values()
+
+    def items(self) -> "_TermsItems":
+        return _TermsItems(self)
+
+    def __repr__(self) -> str:
+        return repr(dict(self.items()))
+
+
+class _TermsItems(ItemsView):
+    """The items of a `_TermsView`, unpacked one at a time."""
+
+    def __iter__(self) -> Iterator[tuple[Exponents, Scalar]]:
+        return self._mapping._poly._unpacked()
+
+
 class Poly:
     """A polynomial with exact rational coefficients on a fixed chart.
 
-    `terms` maps exponent vectors to nonzero coefficients, each an `int`
-    when integral and a `Fraction` with denominator > 1 otherwise. Since
-    `Fraction(3) == 3` and both hash alike, equality, hashing and the
-    canonical text do not depend on that choice.
+    The terms live in a private dict from packed monomials (one int per
+    exponent vector, see the module docstring) to nonzero coefficients,
+    each an `int` when integral and a `Fraction` with denominator > 1
+    otherwise. Since `Fraction(3) == 3` and both hash alike, equality,
+    hashing and the canonical text do not depend on that choice.
+
+    `Poly(chart, {exponent tuple: coefficient})` validates and packs its
+    input; an exponent above MAX_EXPONENT is a ValueError. `terms` gives the
+    same map keyed by exponent tuples, for code outside the kernel; the
+    kernel itself never goes through it.
     """
 
-    __slots__ = ("chart", "terms")
+    __slots__ = ("chart", "_terms")
 
     def __init__(self, chart: Chart, terms: Mapping[Exponents, Scalar]) -> None:
-        clean: dict[Exponents, Scalar] = {}
-        dim = chart.dim
+        clean: dict[int, Scalar] = {}
         for exps, coeff in terms.items():
-            if len(exps) != dim or any(e < 0 for e in exps):
-                raise ValueError(f"bad exponent vector {exps} for chart of dim {dim}")
+            key = chart._pack(exps)
             c = _coeff(coeff)
             if c:
-                clean[tuple(exps)] = c
+                clean[key] = c
         self.chart = chart
-        self.terms = clean
+        self._terms = clean
+
+    @property
+    def terms(self) -> "_TermsView":
+        """The terms keyed by exponent tuples, as a view of this polynomial."""
+        return _TermsView(self)
+
+    def _unpacked(self) -> Iterator[tuple[Exponents, Scalar]]:
+        unpack = self.chart._unpack
+        return ((unpack(k), c) for k, c in self._terms.items())
 
     # construction helpers
 
     @staticmethod
     def zero(chart: Chart) -> "Poly":
-        return Poly(chart, {})
+        return _from_packed(chart, {})
 
     @staticmethod
     def constant(chart: Chart, value: Scalar) -> "Poly":
-        return Poly(chart, {(0,) * chart.dim: value})
+        c = _coeff(value)
+        return _from_packed(chart, {0: c} if c else {})
 
     @staticmethod
     def one(chart: Chart) -> "Poly":
-        return Poly.constant(chart, 1)
+        return _from_packed(chart, {0: 1})
 
     @staticmethod
     def coordinate(chart: Chart, coord: str) -> "Poly":
-        exps = [0] * chart.dim
-        exps[chart.index(coord)] = 1
-        return Poly(chart, {tuple(exps): 1})
+        return _from_packed(chart, {1 << (_FIELD_BITS * chart.index(coord)): 1})
 
     @staticmethod
     def monomial(chart: Chart, exps: Sequence[int], coeff: Scalar = 1) -> "Poly":
@@ -167,29 +297,26 @@ class Poly:
 
     @property
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self._terms
 
     def total_degree(self) -> int:
         """Degree of the zero polynomial is reported as -1."""
-        if not self.terms:
+        if not self._terms:
             return -1
-        return max(sum(e) for e in self.terms)
+        unpack = self.chart._unpack
+        return max(sum(unpack(k)) for k in self._terms)
 
     def mentions(self, coord: str) -> bool:
-        i = self.chart.index(coord)
-        return any(e[i] for e in self.terms)
+        mask = _FIELD_MASK << (_FIELD_BITS * self.chart.index(coord))
+        return any(k & mask for k in self._terms)
 
     def support_indices(self) -> set[int]:
         """Indices of coordinates that actually occur."""
-        out: set[int] = set()
-        for exps in self.terms:
-            for i, e in enumerate(exps):
-                if e:
-                    out.add(i)
-        return out
+        used = self.chart._unpack(reduce(or_, self._terms, 0))
+        return {i for i, e in enumerate(used) if e}
 
     def _require_same_chart(self, other: "Poly") -> None:
-        if self.chart != other.chart:
+        if self.chart is not other.chart and self.chart != other.chart:
             raise ValueError(
                 f"chart mismatch: {self.chart.label} vs {other.chart.label}"
             )
@@ -200,17 +327,14 @@ class Poly:
         if not isinstance(other, Poly):
             return NotImplemented
         self._require_same_chart(other)
-        acc = dict(self.terms)
-        for exps, c in other.terms.items():
-            s = acc.get(exps, 0) + c
+        acc = dict(self._terms)
+        for k, c in other._terms.items():
+            s = acc.get(k, 0) + c
             if s:
-                acc[exps] = s if type(s) is int or s.denominator != 1 else s.numerator
+                acc[k] = s if type(s) is int or s.denominator != 1 else s.numerator
             else:
-                acc.pop(exps, None)
-        out = Poly.__new__(Poly)
-        out.chart = self.chart
-        out.terms = acc
-        return out
+                acc.pop(k, None)
+        return _from_packed(self.chart, acc)
 
     def __sub__(self, other: "Poly") -> "Poly":
         if not isinstance(other, Poly):
@@ -218,30 +342,37 @@ class Poly:
         return self + (-other)
 
     def __neg__(self) -> "Poly":
-        out = Poly.__new__(Poly)
-        out.chart = self.chart
-        out.terms = {e: -c for e, c in self.terms.items()}
-        return out
+        return _from_packed(self.chart, {k: -c for k, c in self._terms.items()})
 
     def __mul__(self, other: Union["Poly", Scalar]) -> "Poly":
-        if isinstance(other, (int, Fraction)):
-            return self.scale(other)
         if not isinstance(other, Poly):
+            if isinstance(other, (int, Fraction)):
+                return self.scale(other)
             return NotImplemented
         self._require_same_chart(other)
-        acc: dict[Exponents, Scalar] = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                key = tuple(a + b for a, b in zip(e1, e2))
-                s = acc.get(key, 0) + c1 * c2
+        t1, t2 = self._terms, other._terms
+        den1 = lcm(*map(_denominator, t1.values()))
+        den2 = lcm(*map(_denominator, t2.values()))
+        n1 = t1.items() if den1 == 1 else _over(t1, den1)
+        n2 = t2.items() if den2 == 1 else _over(t2, den2)
+        acc: dict[int, Scalar] = {}
+        get = acc.get
+        for k1, c1 in n1:
+            for k2, c2 in n2:
+                k = k1 + k2
+                s = get(k, 0) + c1 * c2
                 if s:
-                    acc[key] = s if type(s) is int or s.denominator != 1 else s.numerator
+                    acc[k] = s
                 else:
-                    acc.pop(key, None)
-        out = Poly.__new__(Poly)
-        out.chart = self.chart
-        out.terms = acc
-        return out
+                    del acc[k]
+        if reduce(or_, acc, 0) & self.chart._guard:
+            raise ValueError(_TOO_HIGH)
+        den = den1 * den2
+        if den != 1:
+            for k, s in acc.items():
+                q, r = divmod(s, den)
+                acc[k] = Fraction(s, den) if r else q
+        return _from_packed(self.chart, acc)
 
     def __rmul__(self, other: Scalar) -> "Poly":
         if isinstance(other, (int, Fraction)):
@@ -252,14 +383,11 @@ class Poly:
         c = _coeff(c)
         if not c:
             return Poly.zero(self.chart)
-        out = Poly.__new__(Poly)
-        out.chart = self.chart
-        terms: dict[Exponents, Scalar] = {}
-        for e, v in self.terms.items():
+        terms: dict[int, Scalar] = {}
+        for k, v in self._terms.items():
             s = c * v
-            terms[e] = s if type(s) is int or s.denominator != 1 else s.numerator
-        out.terms = terms
-        return out
+            terms[k] = s if type(s) is int or s.denominator != 1 else s.numerator
+        return _from_packed(self.chart, terms)
 
     def __pow__(self, k: int) -> "Poly":
         if not isinstance(k, int) or k < 0:
@@ -276,51 +404,53 @@ class Poly:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Poly):
             return NotImplemented
-        return self.chart == other.chart and self.terms == other.terms
+        return self.chart == other.chart and self._terms == other._terms
 
     def __hash__(self) -> int:
-        return hash((self.chart.coords, frozenset(self.terms.items())))
+        return hash((self.chart.coords, frozenset(self._terms.items())))
 
     # calculus and substitution
 
     def partial(self, coord: Union[str, int]) -> "Poly":
         """Exact partial derivative with respect to one coordinate."""
         i = coord if isinstance(coord, int) else self.chart.index(coord)
-        acc: dict[Exponents, Scalar] = {}
-        for exps, c in self.terms.items():
-            e = exps[i]
-            if e == 0:
-                continue
-            key = exps[:i] + (e - 1,) + exps[i + 1 :]
-            s = acc.get(key, 0) + c * e
-            if s:
-                acc[key] = s if type(s) is int or s.denominator != 1 else s.numerator
-            else:
-                acc.pop(key, None)
-        out = Poly.__new__(Poly)
-        out.chart = self.chart
-        out.terms = acc
-        return out
+        if not 0 <= i < self.chart.dim:
+            raise IndexError(f"no coordinate {i} on chart {self.chart.label}")
+        shift = _FIELD_BITS * i
+        step = 1 << shift
+        terms: dict[int, Scalar] = {}
+        for k, c in self._terms.items():
+            e = k >> shift & _FIELD_MASK
+            if e:
+                s = c * e
+                terms[k - step] = s if type(s) is int or s.denominator != 1 else s.numerator
+        return _from_packed(self.chart, terms)
 
     def substitute(self, target: Chart, images: Mapping[str, "Poly"]) -> "Poly":
         """Ring homomorphism sending each coordinate to a polynomial on `target`.
 
         Every coordinate of this polynomial's chart must have an image.
+        Each power img**e is taken once per call.
         """
         imgs: list[Poly] = []
         for c in self.chart.coords:
             if c not in images:
                 raise ValueError(f"no image given for coordinate {c!r}")
             p = images[c]
-            if p.chart != target:
+            if p.chart is not target and p.chart != target:
                 raise ValueError(f"image of {c!r} lives on the wrong chart")
             imgs.append(p)
-        acc = Poly.zero(target)
-        for exps, coeff in self.terms.items():
-            term = Poly.constant(target, coeff)
-            for img, e in zip(imgs, exps):
+        unpack = self.chart._unpack
+        powers: dict[tuple[int, int], Poly] = {}
+        acc = _from_packed(target, {})
+        for key, coeff in self._terms.items():
+            term = _from_packed(target, {0: coeff})
+            for i, e in enumerate(unpack(key)):
                 if e:
-                    term = term * img**e
+                    p = powers.get((i, e))
+                    if p is None:
+                        p = powers[(i, e)] = imgs[i] ** e
+                    term = term * p
             acc = acc + term
         return acc
 
@@ -340,7 +470,7 @@ class Poly:
     def eval_at(self, point: Mapping[str, Scalar]) -> Rat:
         vals = [Fraction(point[c]) for c in self.chart.coords]
         total = Fraction(0)
-        for exps, coeff in self.terms.items():
+        for exps, coeff in self._unpacked():
             v = coeff
             for x, e in zip(vals, exps):
                 if e:
@@ -351,11 +481,10 @@ class Poly:
     # printing
 
     def canonical_str(self) -> str:
-        if not self.terms:
+        if not self._terms:
             return "0"
         pieces: list[tuple[str, str]] = []
-        for exps in sorted(self.terms, key=grlex_key, reverse=True):
-            coeff = self.terms[exps]
+        for exps, coeff in sorted(self._unpacked(), key=lambda t: grlex_key(t[0]), reverse=True):
             sign = "-" if coeff < 0 else "+"
             mag = -coeff if coeff < 0 else coeff
             factors = []
@@ -428,10 +557,10 @@ def lift_poly(p: Poly, big: Chart, positions: Sequence[int]) -> Poly:
     """Reinterpret `p` on a larger chart, coordinate i -> big coordinate positions[i]."""
     if len(positions) != p.chart.dim:
         raise ValueError("need one target position per source coordinate")
-    acc: dict[Exponents, Scalar] = {}
-    for exps, coeff in p.terms.items():
+    terms: dict[int, Scalar] = {}
+    for exps, coeff in p._unpacked():
         big_exps = [0] * big.dim
         for i, e in enumerate(exps):
             big_exps[positions[i]] = e
-        acc[tuple(big_exps)] = coeff
-    return Poly(big, acc)
+        terms[big._pack(big_exps)] = coeff
+    return _from_packed(big, terms)

@@ -110,11 +110,16 @@ def _differentials(fs: Sequence[Poly]) -> list[Form]:
     return [de_rham_d(f) for f in fs]
 
 
+def _bracket(s: NambuStructure, dfs: Sequence[Form]) -> Poly:
+    """Pi(df_1, ..., df_n), from the differentials."""
+    return evaluate(s.tensor, dfs)
+
+
 def nambu_bracket(s: NambuStructure, fs: Sequence[Poly]) -> Poly:
     """{f_1, ..., f_n} = Pi(df_1, ..., df_n)."""
     if len(fs) != s.order:
         raise ValueError(f"bracket of order {s.order} takes {s.order} functions")
-    return evaluate(s.tensor, _differentials(fs))
+    return _bracket(s, _differentials(fs))
 
 
 def hamiltonian_field(s: NambuStructure, fs: Sequence[Poly]) -> MultiVec:
@@ -134,14 +139,20 @@ def sharp(s: NambuStructure, alphas: Sequence[Form]) -> MultiVec:
 def fi_bracket_defect(
     s: NambuStructure, fs: Sequence[Poly], gs: Sequence[Poly]
 ) -> Poly:
-    """Fundamental identity defect, computed by direct nested brackets."""
+    """Fundamental identity defect, computed by direct nested brackets.
+
+    Each argument's differential is taken once; only the inner bracket
+    values need a differential of their own.
+    """
     if len(fs) != s.order - 1 or len(gs) != s.order:
         raise ValueError("defect takes n-1 functions then n functions")
-    lhs = nambu_bracket(s, list(fs) + [nambu_bracket(s, gs)])
+    dfs = _differentials(fs)
+    dgs = _differentials(gs)
+    lhs = _bracket(s, dfs + [de_rham_d(_bracket(s, dgs))])
     rhs = Poly.zero(s.chart)
     for k in range(s.order):
-        inner = nambu_bracket(s, list(fs) + [gs[k]])
-        rhs = rhs + nambu_bracket(s, list(gs[:k]) + [inner] + list(gs[k + 1 :]))
+        d_inner = de_rham_d(_bracket(s, dfs + [dgs[k]]))
+        rhs = rhs + _bracket(s, dgs[:k] + [d_inner] + dgs[k + 1 :])
     return lhs - rhs
 
 
@@ -152,16 +163,16 @@ def hamiltonian_commutator_defect(
 
     [X_F, X_G] - sum_k X_(g_1,..,{F,g_k},..,g_(n-1)), a vector field that
     vanishes identically when the identity holds for the pair of tuples.
+    Each argument's differential is taken once, as in `fi_bracket_defect`.
     """
     if len(fs) != s.order - 1 or len(gs) != s.order - 1:
         raise ValueError("commutator defect takes two (n-1)-tuples")
-    xf = hamiltonian_field(s, fs)
-    xg = hamiltonian_field(s, gs)
-    acc = schouten(xf, xg)
+    dfs = _differentials(fs)
+    dgs = _differentials(gs)
+    acc = schouten(interior_product(s.tensor, dfs), interior_product(s.tensor, dgs))
     for k in range(len(gs)):
-        inner = nambu_bracket(s, list(fs) + [gs[k]])
-        repl = list(gs[:k]) + [inner] + list(gs[k + 1 :])
-        acc = acc - hamiltonian_field(s, repl)
+        d_inner = de_rham_d(_bracket(s, dfs + [dgs[k]]))
+        acc = acc - interior_product(s.tensor, dgs[:k] + [d_inner] + dgs[k + 1 :])
     return acc
 
 

@@ -653,6 +653,17 @@ class TestCliProcess:
         assert main(["eval", "ghost + 1"]) == 1
         assert "unknown name" in capsys.readouterr().err
 
+    def test_eval_exponent_above_bound_is_an_error(self, capsys):
+        assert main(["eval", "chart M (x, y); x^2147483648"]) == 1
+        captured = capsys.readouterr()
+        text = captured.out + captured.err
+        assert "ERROR" in text and "exponent above 2147483647" in text
+        assert "Traceback" not in text
+
+    def test_eval_exponent_at_bound(self, capsys):
+        assert main(["eval", "chart M (x, y); x^2147483647"]) == 0
+        assert capsys.readouterr().out.strip() == "x^2147483647"
+
     def test_eval_parse_error_exit_two(self, capsys):
         assert main(["eval", "chart M (x"]) == 2
         assert "parse error" in capsys.readouterr().err
