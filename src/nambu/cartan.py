@@ -9,9 +9,10 @@ by dx_k and D_k for the coordinate partial applied to coefficients,
              - (-1)^((p-1)(q-1)) (-1)^(q-1) sum_k i_k(Q) ^ D_k(P)
 
 Both sums are accumulated in one pass, term by term, into a single map from
-index tuples to coefficients; no intermediate tensor is built, and D_k of a
-component is taken at most once per call, only where a contracted term
-meets it.
+index tuples to coefficients; no intermediate tensor is built. The loop
+runs over the index positions of each argument's own components, so an
+index k that no component holds costs nothing, and D_k of a component is
+taken at most once per call, only where a contracted term meets it.
 
 This choice is pinned down (and the tests enforce it) by three identities:
 
@@ -73,27 +74,28 @@ def schouten(p: Union[Poly, MultiVec], q: Union[Poly, MultiVec]) -> MultiVec:
     sign_a = 1 if (gp - 1) % 2 == 0 else -1
     sign_b = 1 if ((gp - 1) * (gq - 1) + (gq - 1)) % 2 == 0 else -1
     acc: dict[tuple[int, ...], Poly] = {}
-    for k in range(p.chart.dim):
-        # sign * i_k(a) ^ D_k(b); i_k takes the sign (-1)^j of dropping
-        # position j, D_k(b) is taken per component only where it is used.
-        for sign, a, b in ((sign_a, p, q), (-sign_b, q, p)):
-            partials: dict[tuple[int, ...], Poly] = {}
-            for idx, pa in a.comps.items():
-                if k not in idx:
-                    continue
-                j = idx.index(k)
+    for sign, a, b in ((sign_a, p, q), (-sign_b, q, p)):
+        # sign * i_k(a) ^ D_k(b) for each position j of k in a component of
+        # a; i_k takes the sign (-1)^j of dropping position j, D_k(b) is
+        # taken per component only where it is used.
+        partials: dict[tuple[int, tuple[int, ...]], Poly] = {}
+        for idx, pa in a.comps.items():
+            for j, k in enumerate(idx):
                 key = idx[:j] + idx[j + 1 :]
                 sign_j = sign if j % 2 == 0 else -sign
                 for idx_b, pb in b.comps.items():
-                    sorted_ = sort_with_sign(key + idx_b)
-                    if sorted_ is None:
-                        continue
-                    db = partials.get(idx_b)
+                    if key:
+                        sorted_ = sort_with_sign(key + idx_b)
+                        if sorted_ is None:
+                            continue
+                        s, out = sorted_
+                    else:
+                        s, out = 1, idx_b
+                    db = partials.get((k, idx_b))
                     if db is None:
-                        db = partials[idx_b] = pb.partial(k)
+                        db = partials[k, idx_b] = pb.partial(k)
                     if db.is_zero:
                         continue
-                    s, out = sorted_
                     term = pa * db
                     if s != sign_j:
                         term = -term

@@ -3,7 +3,9 @@
 `nambu run FILE` executes a session script and prints one verdict line per
 command; `nambu eval TEXT` runs an inline session and prints its last value.
 Exit status: 0 when every report verdict is PASS or VERIFIED_ON_FAMILY,
-1 when some command failed or errored, 2 on a parse or usage problem.
+1 when some command failed or errored, 2 on a parse or usage problem,
+including a script that cannot be read as UTF-8 or a --json file that
+cannot be written.
 """
 
 from __future__ import annotations
@@ -34,8 +36,12 @@ def _print_human(result: RunResult, out) -> None:
 
 def _run(args: argparse.Namespace) -> int:
     try:
-        source = sys.stdin.read() if args.file == "-" else open(args.file).read()
-    except OSError as exc:
+        if args.file == "-":
+            source = sys.stdin.buffer.read().decode("utf-8")
+        else:
+            with open(args.file, encoding="utf-8") as f:
+                source = f.read()
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     try:
@@ -49,8 +55,12 @@ def _run(args: argparse.Namespace) -> int:
         if args.json == "-":
             print(text)
         else:
-            with open(args.json, "w") as f:
-                f.write(text + "\n")
+            try:
+                with open(args.json, "w", encoding="utf-8") as f:
+                    f.write(text + "\n")
+            except OSError as exc:
+                print(f"error: {exc}", file=sys.stderr)
+                return 2
             _print_human(result, sys.stdout)
     else:
         _print_human(result, sys.stdout)

@@ -26,6 +26,7 @@ from .exterior import (
     MultiVec,
     basis_index_tuples,
     evaluate,
+    interior_one_form,
     interior_product,
     lift_tensor,
     wedge_all,
@@ -146,8 +147,13 @@ def fi_bracket_defect(
     """
     if len(fs) != s.order - 1 or len(gs) != s.order:
         raise ValueError("defect takes n-1 functions then n functions")
-    dfs = _differentials(fs)
-    dgs = _differentials(gs)
+    return _fi_bracket_defect(s, _differentials(fs), _differentials(gs))
+
+
+def _fi_bracket_defect(
+    s: NambuStructure, dfs: list[Form], dgs: list[Form]
+) -> Poly:
+    """`fi_bracket_defect` from the differentials of its arguments."""
     lhs = _bracket(s, dfs + [de_rham_d(_bracket(s, dgs))])
     rhs = Poly.zero(s.chart)
     for k in range(s.order):
@@ -167,25 +173,25 @@ def hamiltonian_commutator_defect(
     """
     if len(fs) != s.order - 1 or len(gs) != s.order - 1:
         raise ValueError("commutator defect takes two (n-1)-tuples")
-    dfs = _differentials(fs)
-    dgs = _differentials(gs)
+    return _hamiltonian_commutator_defect(s, _differentials(fs), _differentials(gs))
+
+
+def _hamiltonian_commutator_defect(
+    s: NambuStructure, dfs: list[Form], dgs: list[Form]
+) -> MultiVec:
+    """`hamiltonian_commutator_defect` from the differentials of its arguments."""
     acc = schouten(interior_product(s.tensor, dfs), interior_product(s.tensor, dgs))
-    for k in range(len(gs)):
+    for k in range(len(dgs)):
         d_inner = de_rham_d(_bracket(s, dfs + [dgs[k]]))
         acc = acc - interior_product(s.tensor, dgs[:k] + [d_inner] + dgs[k + 1 :])
     return acc
-
-
-def _lie_defect(s: NambuStructure, dfs: Sequence[Form]) -> MultiVec:
-    """[X_F, Pi] with X_F = i_(dF) Pi, from the differentials dF."""
-    return schouten(interior_product(s.tensor, dfs), s.tensor)
 
 
 def lie_preservation_defect(s: NambuStructure, fs: Sequence[Poly]) -> MultiVec:
     """L_(X_F) Pi as a Schouten bracket; zero for every F exactly when Nambu."""
     if len(fs) != s.order - 1:
         raise ValueError(f"Hamiltonian field takes {s.order - 1} functions")
-    return _lie_defect(s, _differentials(fs))
+    return schouten(interior_product(s.tensor, _differentials(fs)), s.tensor)
 
 
 @dataclass(frozen=True)
@@ -245,6 +251,11 @@ def fi_check(s: NambuStructure, degree: int = 2) -> FiReport:
 
     The differential of each monomial of the family is computed once per
     sweep and shared by the f slots (X_F = i_(dF) Pi) and the g slots.
+    The f-tuples are walked in `combinations` order, and consecutive tuples
+    share a prefix, so each prefix contraction i_(df_(i_k)) .. i_(df_(i_1)) Pi
+    is taken once and only the changed tail is contracted again. Every
+    f-tuple still gets its own Lie defect, so `family_size` keeps its
+    meaning.
 
     Verification is relative to the swept family; refutation is sound.
     """
@@ -252,18 +263,28 @@ def fi_check(s: NambuStructure, degree: int = 2) -> FiReport:
         raise ValueError("degree must be at least 1")
     n = s.order
     mons = monomials_up_to(s.chart, degree)
-    family = list(zip(mons, _differentials(mons)))
+    dfs = _differentials(mons)
     f_count = 0
-    for f_pairs in combinations(family, n - 1):
+    # fields[k] = i_(df_(t_k)) .. i_(df_(t_1)) Pi for the current f-tuple t
+    fields = [s.tensor]
+    prev = (-1,) * (n - 1)
+    for t in combinations(range(len(mons)), n - 1):
         f_count += 1
-        d = _lie_defect(s, [df for _, df in f_pairs])
+        k = 0
+        while t[k] == prev[k]:  # t keeps the first k positions of prev
+            k += 1
+        del fields[k + 1 :]
+        for i in t[k:]:
+            fields.append(interior_one_form(dfs[i], fields[-1]))
+        prev = t
+        d = schouten(fields[-1], s.tensor)
         if d.is_zero:
             continue
-        for g_count, g_pairs in enumerate(combinations(family, n), 1):
-            defect = evaluate(d, [dg for _, dg in g_pairs])
+        for g_count, u in enumerate(combinations(range(len(mons)), n), 1):
+            defect = evaluate(d, [dfs[i] for i in u])
             if not defect.is_zero:
-                fs = tuple(f for f, _ in f_pairs)
-                gs = tuple(g for g, _ in g_pairs)
+                fs = tuple(mons[i] for i in t)
+                gs = tuple(mons[i] for i in u)
                 w = FiWitness(fs, gs, defect)
                 return FiReport(REFUTED, degree, (f_count, g_count), w)
         raise AssertionError(

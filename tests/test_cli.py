@@ -617,6 +617,23 @@ class TestCliProcess:
         assert main(["run", "/no/such/file.nmb"]) == 2
         assert "error" in capsys.readouterr().err
 
+    def test_run_non_utf8_script_exit_two(self, tmp_path, capsys):
+        f = tmp_path / "s.nmb"
+        f.write_bytes(b"chart M (x, y, z)\n# caf\xe9\n")
+        assert main(["run", str(f)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:") and "utf-8" in captured.err
+
+    def test_json_to_missing_directory_exit_two(self, tmp_path, capsys):
+        f = tmp_path / "s.nmb"
+        f.write_text(VOL_PRELUDE + "check fi pi\n")
+        out = tmp_path / "no_such_dir" / "report.json"
+        assert main(["run", str(f), "--json", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error:") and "no_such_dir" in captured.err
+        assert not out.parent.exists()
+
     def test_json_document(self, tmp_path, capsys):
         f = tmp_path / "s.nmb"
         out = tmp_path / "report.json"

@@ -7,7 +7,9 @@ the baseline sweep of the roadmap, (1 + x5) d1^d2^d3^d4 on R5 at degree
 defect. Computing each monomial's differential once per sweep, and each
 coefficient partial only where the Schouten bracket uses it, keeps the
 counts below; taking differentials per tuple again would cost 3420
-`de_rham_d` and 21040 `partial` calls on the same sweep.
+`de_rham_d` and 21040 `partial` calls on the same sweep. Contracting each
+f-tuple's prefix i_(df_(i_1)) Pi, i_(df_(i_2)) i_(df_(i_1)) Pi once, instead
+of per tuple, cuts `interior_one_form` calls from 3 * 1140 = 3420 to 1329.
 """
 
 from fractions import Fraction
@@ -46,6 +48,21 @@ def test_baseline_sweep_op_counts(monkeypatch):
     assert rep.family_size == (1140, 0)
     assert counts["de_rham_d"] == 20
     assert counts["partial"] <= 4040
+
+
+def test_baseline_sweep_contracts_each_prefix_once(monkeypatch):
+    r5 = chart("x1 x2 x3 x4 x5", "R5")
+    coeff = Poly.one(r5) + Poly.coordinate(r5, "x5")
+    s = NambuStructure(r5, 4, MultiVec(r5, 4, {(0, 1, 2, 3): coeff}))
+    counts = {"de_rham_d": 0, "interior_one_form": 0}
+    _counting(monkeypatch, nambu.structures, "de_rham_d", counts)
+    _counting(monkeypatch, nambu.structures, "interior_one_form", counts)
+    rep = fi_check(s, degree=2)
+    assert rep.family_size == (1140, 0)
+    assert counts["de_rham_d"] == 20
+    # one contraction per prefix that begins a sorted 3-tuple of the 20
+    # monomials: C(18, 1) + C(19, 2) + C(20, 3) = 18 + 171 + 1140
+    assert counts["interior_one_form"] == 1329
 
 
 def test_dense_substitute_takes_each_power_once(monkeypatch):

@@ -8,14 +8,19 @@ re-verified through the plain nested-bracket route.
 """
 
 from fractions import Fraction
-from itertools import permutations
+from itertools import combinations, permutations
 
 import pytest
 from hypothesis import given, settings
 
-from nambu.exterior import Form, MultiVec, pairing, wedge_all
-from nambu.ratpoly import Poly, chart
+from nambu.cartan import de_rham_d
+from nambu.exterior import Form, MultiVec, evaluate, pairing, wedge_all
+from nambu.ratpoly import Poly, chart, monomials_up_to
 from nambu.structures import (
+    REFUTED,
+    VERIFIED_ON_FAMILY,
+    FiReport,
+    FiWitness,
     NambuStructure,
     block_product,
     distribution_rank,
@@ -233,6 +238,62 @@ class TestFiCheck:
         for fs in combinations(mons, 2):
             for gs in combinations(mons, 2):
                 assert hamiltonian_commutator_defect(s, fs, gs).is_zero
+
+
+def reference_fi_check(s: NambuStructure, degree: int) -> FiReport:
+    """The per-tuple sweep: every f-tuple's Lie defect built from scratch."""
+    mons = monomials_up_to(s.chart, degree)
+    dmons = [de_rham_d(m) for m in mons]
+    f_count = 0
+    for fs in combinations(mons, s.order - 1):
+        f_count += 1
+        d = lie_preservation_defect(s, fs)
+        if d.is_zero:
+            continue
+        g_tuples = zip(combinations(mons, s.order), combinations(dmons, s.order))
+        for g_count, (gs, dgs) in enumerate(g_tuples, 1):
+            defect = evaluate(d, list(dgs))
+            if not defect.is_zero:
+                return FiReport(REFUTED, degree, (f_count, g_count),
+                                FiWitness(fs, gs, defect))
+    return FiReport(VERIFIED_ON_FAMILY, degree, (f_count, 0))
+
+
+R5 = chart("x1 x2 x3 x4 x5", "R5")
+
+# (chart, order, degree, sampler seed, at most this many components,
+# verdict); one component is always Nambu, two or three usually are not
+SEEDED_FI_CASES = [
+    (R4, 3, 2, 0, 2, REFUTED),
+    (R4, 3, 2, 1, 2, VERIFIED_ON_FAMILY),
+    (R4, 3, 3, 0, 2, REFUTED),
+    (R4, 3, 3, 2, 2, VERIFIED_ON_FAMILY),
+    (R4, 4, 2, 0, 2, VERIFIED_ON_FAMILY),
+    (R5, 3, 2, 0, 2, REFUTED),
+    (R5, 3, 2, 1, 2, VERIFIED_ON_FAMILY),
+    (R5, 3, 3, 3, 2, VERIFIED_ON_FAMILY),
+    (R5, 3, 3, 9, 3, REFUTED),
+    (R5, 4, 2, 0, 2, REFUTED),
+    (R5, 4, 2, 1, 2, VERIFIED_ON_FAMILY),
+    (R5, 4, 3, 5, 2, REFUTED),
+]
+
+
+class TestFiCheckAgainstReference:
+    @pytest.mark.parametrize(
+        "ch, order, degree, seed, comps, verdict", SEEDED_FI_CASES,
+        ids=[f"{c[0].label}-order{c[1]}-degree{c[2]}-seed{c[3]}" for c in SEEDED_FI_CASES],
+    )
+    def test_same_report_as_per_tuple_sweep(self, ch, order, degree, seed, comps, verdict):
+        t = SeededSampler(seed).tensor(ch, order, MultiVec, comps=comps)
+        s = NambuStructure(ch, order, t)
+        got = fi_check(s, degree)
+        want = reference_fi_check(s, degree)
+        assert got == want
+        assert got.verdict == verdict
+        if verdict == REFUTED:
+            assert got.witness.canonical_str() == want.witness.canonical_str()
+            assert got.witness.reverify(s)
 
 
 class TestPlucker:
