@@ -4,9 +4,10 @@ Multivector fields and differential forms carry rational polynomial
 coefficients, so every verdict here is a polynomial identity, not a
 numerical approximation. The layers build up from a sparse polynomial
 kernel through exterior calculus, bracket structures and their
-fundamental-identity sweeps, maps and coisotropic loci, group and pair
-models with multiplicativity checks, the bracket on one-forms with its
-dual-pair axioms, and finally a small session language with a CLI.
+fundamental-identity sweeps, maps and coisotropic loci, polynomial
+groupoids (group laws and pair models) with multiplicativity checks, the
+bracket on one-forms with its dual-pair axioms, and finally a small session
+language with a CLI.
 """
 
 from .ratpoly import Chart, Poly, chart, concat_charts, monomials_up_to
@@ -37,14 +38,15 @@ from .geomaps import (
     relatedness_check,
 )
 from .groupoids import (
-    GroupLaw,
-    PairGroupoid,
+    Groupoid,
     base_structure,
     coiso_subgroupoid_check,
     conormal_pair_model,
+    group_law,
     heisenberg_group,
     inversion_check,
     multiplicativity_check,
+    pair_groupoid,
     theorem_diagnostics,
     translation_group,
 )
@@ -96,14 +98,15 @@ __all__ = [
     "product_structure",
     "r_phi_submanifold",
     "relatedness_check",
-    "GroupLaw",
-    "PairGroupoid",
+    "Groupoid",
     "base_structure",
     "coiso_subgroupoid_check",
     "conormal_pair_model",
+    "group_law",
     "heisenberg_group",
     "inversion_check",
     "multiplicativity_check",
+    "pair_groupoid",
     "theorem_diagnostics",
     "translation_group",
     "coiso_subalgebroid_check",

@@ -1,12 +1,19 @@
-"""Polynomial group laws and pair models, with multiplicativity checks.
+"""Polynomial groupoids, with multiplicativity checks.
+
+A groupoid keeps its arrows on one chart. Source and target keep some of the
+arrow coordinates, so the base is read off either block; a group keeps none,
+and its base is a point. Products compose in diagrammatic order: g.h is
+defined when the target of g equals the source of h, and it runs from the
+source of g to the target of h. Group laws and pair models are the two
+constructors.
 
 Multiplicativity of a bracket structure over a composition law is decided on
 the graph of the composition: the graph must be coisotropic inside the
 tripled space carrying the structure on each factor, the third factor signed
-by the parity of the order. For group laws the same condition is also
-computed as a pointwise translation identity on tensor coefficients; the two
-routes reduce to the same polynomial family up to a global sign, so their
-verdicts must agree and any disagreement raises.
+by the parity of the order. When the base is a point the same condition is
+also computed as a pointwise translation identity on tensor coefficients; the
+two routes reduce to the same polynomial family up to a global sign, so their
+verdicts must agree and the report says whether they do.
 """
 
 from __future__ import annotations
@@ -38,206 +45,183 @@ from .ratpoly import Chart, Poly, Rat, chart, concat_charts, lift_poly
 from .structures import NambuStructure, nambu_bracket, sharp
 
 
-def _apply_pair(mult: PolyMap, first: Sequence[Poly], second: Sequence[Poly],
-                target: Chart) -> list[Poly]:
-    """Substitute two argument blocks into a doubled-chart map."""
-    m = len(first)
-    names = mult.source.coords
-    images = {names[i]: first[i] for i in range(m)}
-    images.update({names[m + i]: second[i] for i in range(m)})
-    return [c.substitute(target, images) for c in mult.comps]
+def _copies(ch: Chart, n: int) -> tuple[Chart, list[list[Poly]]]:
+    """n copies of a chart side by side, with the coordinates of each copy."""
+    big, blocks = concat_charts(*[ch] * n)
+    return big, [[Poly.coordinate(big, big.coords[i]) for i in b] for b in blocks]
 
 
 @dataclass(frozen=True)
-class GroupLaw:
-    """A polynomial group structure on a chart, validated at construction.
+class Groupoid:
+    """A polynomial groupoid on one arrow chart, validated at construction.
 
-    `mult` lives on the doubled chart (first block = left factor), `unit` is
-    a rational point, and `inv` sends each point to its inverse. The
-    associativity, unit, and inverse laws are checked as exact polynomial
-    identities, so an instance that constructs is a group law on the nose.
+    `source` and `target` are the positions of the arrow coordinates that s
+    and t keep, in base order; both are empty for a group. `units` is the
+    unit locus, solved over the source coordinates. `mult` lives on the
+    doubled chart (first block = left factor) and is read on composable
+    pairs: the right factor's source coordinates are set to the left
+    factor's target coordinates. `over` is the base structure of a pair
+    model, and `structure` the doubled structure derived from it. Every
+    groupoid law is checked as an exact polynomial identity, so an instance
+    that constructs is a groupoid on the nose.
     """
 
     chart: Chart
+    source: tuple[int, ...]
+    target: tuple[int, ...]
+    units: SolvedSubmanifold
     mult: PolyMap
-    unit: tuple[Rat, ...]
     inv: PolyMap
+    over: Optional[NambuStructure] = None
+    structure: Optional[NambuStructure] = field(
+        init=False, compare=False, repr=False
+    )
 
     def __post_init__(self) -> None:
         ch = self.chart
-        doubled, _ = concat_charts(ch, ch)
+        doubled, (g, h) = _copies(ch, 2)
         if self.mult.source != doubled or self.mult.target != ch:
             raise ValueError("mult must map the doubled chart to the chart")
         if self.inv.source != ch or self.inv.target != ch:
             raise ValueError("inv must map the chart to itself")
-        if len(self.unit) != ch.dim:
-            raise ValueError("unit point needs one value per coordinate")
+        if not set(self.source + self.target) <= set(range(ch.dim)):
+            raise ValueError("source and target must list arrow coordinate positions")
+        kept = {ch.coords[i] for i in self.source}
+        if self.units.chart != ch or set(self.units.free_names) != kept:
+            raise ValueError("units must be solved over the source coordinates")
+        structure = None
+        if self.over is not None:
+            structure = product_structure(self.over, self.over, opposite_sign(self.over.order))
+            if structure.chart != ch:
+                raise ValueError("the doubled base structure must live on the arrow chart")
+        object.__setattr__(self, "structure", structure)
 
-        tripled, (b1, b2, b3) = concat_charts(ch, ch, ch)
+        def s(g: Sequence[Poly]) -> list[Poly]:
+            return [g[i] for i in self.source]
 
-        def block(b: Sequence[int]) -> list[Poly]:
-            return [Poly.coordinate(tripled, tripled.coords[i]) for i in b]
+        def t(g: Sequence[Poly]) -> list[Poly]:
+            return [g[i] for i in self.target]
 
-        gh = _apply_pair(self.mult, block(b1), block(b2), tripled)
-        hk = _apply_pair(self.mult, block(b2), block(b3), tripled)
-        assoc_left = _apply_pair(self.mult, gh, block(b3), tripled)
-        assoc_right = _apply_pair(self.mult, block(b1), hk, tripled)
+        x = list(PolyMap.identity(ch).comps)
+        if t(self._unit_at(x, ch)) != s(x):
+            raise ValueError("units must have equal source and target")
+        gi = list(self.inv.comps)
+        if s(gi) != t(x) or t(gi) != s(x):
+            raise ValueError("inverse must swap source and target")
+
+        h = self._glued(h, g)
+        gh = self._product(g, h, doubled)
+        if s(gh) != s(g) or t(gh) != t(h):
+            raise ValueError("product must run from the first source to the second target")
+
+        tripled, (g, h, k) = _copies(ch, 3)
+        h = self._glued(h, g)
+        k = self._glued(k, h)
+        assoc_left = self._product(self._product(g, h, tripled), k, tripled)
+        assoc_right = self._product(g, self._product(h, k, tripled), tripled)
         if assoc_left != assoc_right:
             raise ValueError("multiplication is not associative")
 
-        x = [Poly.coordinate(ch, c) for c in ch.coords]
-        e = [Poly.constant(ch, u) for u in self.unit]
-        if _apply_pair(self.mult, e, x, ch) != x:
+        at_target = self._glued(x, x)
+        if self._product(self._unit_at(x, ch), x, ch) != x:
             raise ValueError("left unit law fails")
-        if _apply_pair(self.mult, x, e, ch) != x:
+        if self._product(x, self._unit_at(at_target, ch), ch) != x:
             raise ValueError("right unit law fails")
-        gi = list(self.inv.comps)
-        if _apply_pair(self.mult, x, gi, ch) != e or _apply_pair(self.mult, gi, x, ch) != e:
+        if (self._product(x, gi, ch) != self._unit_at(x, ch)
+                or self._product(gi, x, ch) != self._unit_at(at_target, ch)):
             raise ValueError("inverse law fails")
 
-    def unit_submanifold(self) -> SolvedSubmanifold:
-        """The unit point as a zero-dimensional solved-form locus."""
-        solved = tuple(
-            (c, Poly.constant(self.chart, u))
-            for c, u in zip(self.chart.coords, self.unit)
-        )
-        return SolvedSubmanifold(self.chart, solved)
+    def _glued(self, h: Sequence[Poly], g: Sequence[Poly]) -> list[Poly]:
+        """h with its source coordinates set to the target coordinates of g."""
+        out = list(h)
+        for i, j in zip(self.source, self.target):
+            out[i] = g[j]
+        return out
+
+    def _product(self, g: Sequence[Poly], h: Sequence[Poly], on: Chart) -> list[Poly]:
+        """g.h on the chart `on`, with h read as composable with g."""
+        images = dict(zip(self.mult.source.coords, list(g) + self._glued(h, g)))
+        return [c.substitute(on, images) for c in self.mult.comps]
+
+    def _unit_at(self, g: Sequence[Poly], on: Chart) -> list[Poly]:
+        """The unit arrow at the source of g."""
+        images = dict(zip(self.chart.coords, g))
+        out = list(g)
+        for name, img in self.units.solved:
+            out[self.chart.index(name)] = img.substitute(on, images)
+        return out
 
     def multiplication_graph(self) -> SolvedSubmanifold:
-        """Graph of the product in the tripled chart, third block solved."""
-        ch = self.chart
-        tripled, (b1, b2, b3) = concat_charts(ch, ch, ch)
-        positions = tuple(b1) + tuple(b2)
-        solved = tuple(
-            (tripled.coords[b3[j]], lift_poly(self.mult.comps[j], tripled, positions))
-            for j in range(ch.dim)
-        )
-        return SolvedSubmanifold(tripled, solved)
+        """Composable triples (g, h, g.h): h's source glued to g's target."""
+        tripled, (g, h, _) = _copies(self.chart, 3)
+        co, m = tripled.coords, self.chart.dim
+        glue = tuple((co[m + i], g[j]) for i, j in zip(self.source, self.target))
+        gh = tuple(zip(co[2 * m:], self._product(g, h, tripled)))
+        return SolvedSubmanifold(tripled, glue + gh)
 
 
-def translation_group(ch: Chart) -> GroupLaw:
-    """Componentwise addition with unit 0 and negation as inverse."""
-    doubled, (b1, b2) = concat_charts(ch, ch)
-    comps = tuple(
-        Poly.coordinate(doubled, doubled.coords[i])
-        + Poly.coordinate(doubled, doubled.coords[j])
-        for i, j in zip(b1, b2)
+def group_law(ch: Chart, mult: PolyMap, unit: Sequence[Rat], inv: PolyMap) -> Groupoid:
+    """A group on a chart: the base is a point and `unit` a rational point."""
+    if len(unit) != ch.dim:
+        raise ValueError("unit point needs one value per coordinate")
+    units = SolvedSubmanifold(
+        ch, tuple((c, Poly.constant(ch, u)) for c, u in zip(ch.coords, unit))
     )
+    return Groupoid(ch, (), (), units, mult, inv)
+
+
+def translation_group(ch: Chart) -> Groupoid:
+    """Componentwise addition with unit 0 and negation as inverse."""
+    doubled, (g, h) = _copies(ch, 2)
+    comps = tuple(a + b for a, b in zip(g, h))
     inv = PolyMap(ch, ch, tuple(-Poly.coordinate(ch, c) for c in ch.coords))
-    return GroupLaw(ch, PolyMap(doubled, ch, comps), (Fraction(0),) * ch.dim, inv)
+    return group_law(ch, PolyMap(doubled, ch, comps), (Fraction(0),) * ch.dim, inv)
 
 
-def heisenberg_group() -> GroupLaw:
+def heisenberg_group() -> Groupoid:
     """The unipotent law (a, b, c)(a', b', c') = (a+a', b+b', c+c'+a*b')."""
     ch = chart("a b c")
-    doubled, _ = concat_charts(ch, ch)
-    a, b, c, a2, b2, c2 = (Poly.coordinate(doubled, nm) for nm in doubled.coords)
+    doubled, ((a, b, c), (a2, b2, c2)) = _copies(ch, 2)
     mult = PolyMap(doubled, ch, (a + a2, b + b2, c + c2 + a * b2))
     av, bv, cv = (Poly.coordinate(ch, nm) for nm in ch.coords)
     inv = PolyMap(ch, ch, (-av, -bv, -cv + av * bv))
-    return GroupLaw(ch, mult, (Fraction(0),) * 3, inv)
+    return group_law(ch, mult, (Fraction(0),) * 3, inv)
 
 
-@dataclass(frozen=True)
-class PairGroupoid:
-    """Doubled-chart model over a base structure: arrows are point pairs.
+def pair_groupoid(base: NambuStructure) -> Groupoid:
+    """Arrows are point pairs (x, x') over a base structure, from x to x'.
 
-    The total chart is two copies of the base chart (second copy primed).
-    The source map reads the first block, the target the second, units sit
-    on the diagonal, and inversion swaps blocks. The total structure is the
-    block sum with the parity sign of the order on the second copy.
+    The arrow chart is two copies of the base chart (second copy primed).
+    Units sit on the diagonal, (x, y).(y, z) = (x, z), and inversion swaps
+    the blocks. The doubled structure is the block sum with the parity sign
+    of the order on the second copy.
     """
-
-    base: NambuStructure
-    total: Chart = field(init=False, compare=False, repr=False)
-    blocks: tuple[tuple[int, ...], tuple[int, ...]] = field(
-        init=False, compare=False, repr=False
-    )
-    structure: NambuStructure = field(init=False, compare=False, repr=False)
-
-    def __post_init__(self) -> None:
-        prod = product_structure(self.base, self.base, opposite_sign(self.base.order))
-        total, blocks = concat_charts(self.base.chart, self.base.chart)
-        object.__setattr__(self, "total", total)
-        object.__setattr__(self, "blocks", (blocks[0], blocks[1]))
-        object.__setattr__(self, "structure", prod)
-        self._verify_structure_maps()
-
-    def _verify_structure_maps(self) -> None:
-        # one-time symbolic sanity: units embed, inversion is an involution;
-        # raised explicitly so that it also runs under python -O
-        ident = PolyMap.identity(self.base.chart)
-        swap = self.inversion_map()
-        if not (
-            self.source_map().after(self.unit_map()) == ident
-            and self.target_map().after(self.unit_map()) == ident
-            and swap.after(swap) == PolyMap.identity(self.total)
-            and self.source_map().after(swap) == self.target_map()
-        ):
-            raise AssertionError("pair model structure maps are inconsistent")
-
-    def source_map(self) -> PolyMap:
-        bx, _ = self.blocks
-        kept = [self.total.coords[i] for i in bx]
-        return PolyMap.projection(self.total, self.base.chart, kept)
-
-    def target_map(self) -> PolyMap:
-        _, by = self.blocks
-        kept = [self.total.coords[i] for i in by]
-        return PolyMap.projection(self.total, self.base.chart, kept)
-
-    def unit_map(self) -> PolyMap:
-        x = tuple(Poly.coordinate(self.base.chart, c) for c in self.base.chart.coords)
-        return PolyMap(self.base.chart, self.total, x + x)
-
-    def inversion_map(self) -> PolyMap:
-        bx, by = self.blocks
-        co = self.total.coords
-        comps = tuple(
-            Poly.coordinate(self.total, co[i]) for i in tuple(by) + tuple(bx)
-        )
-        return PolyMap(self.total, self.total, comps)
-
-    def unit_submanifold(self) -> SolvedSubmanifold:
-        """The diagonal, second block solved equal to the first."""
-        bx, by = self.blocks
-        co = self.total.coords
-        solved = tuple(
-            (co[by[i]], Poly.coordinate(self.total, co[bx[i]]))
-            for i in range(self.base.chart.dim)
-        )
-        return SolvedSubmanifold(self.total, solved)
-
-    def multiplication_graph(self) -> SolvedSubmanifold:
-        """Composable triples (g, h, g.h): middle matches, outer blocks pass."""
-        tripled, (t1, t2, t3) = concat_charts(self.total, self.total, self.total)
-        m = self.base.chart.dim
-        co = tripled.coords
-
-        def coord(pos: int) -> Poly:
-            return Poly.coordinate(tripled, co[pos])
-
-        solved = []
-        for i in range(m):
-            solved.append((co[t2[i]], coord(t1[m + i])))
-            solved.append((co[t3[i]], coord(t1[i])))
-            solved.append((co[t3[m + i]], coord(t2[m + i])))
-        return SolvedSubmanifold(tripled, tuple(solved))
+    ch, (bx, by) = concat_charts(base.chart, base.chart)
+    doubled, (g, h) = _copies(ch, 2)
+    m = base.chart.dim
+    x = PolyMap.identity(ch).comps
+    units = SolvedSubmanifold(ch, tuple(zip(ch.coords[m:], x[:m])))
+    mult = PolyMap(doubled, ch, tuple(g[:m] + h[m:]))
+    inv = PolyMap(ch, ch, x[m:] + x[:m])
+    return Groupoid(ch, bx, by, units, mult, inv, over=base)
 
 
-GroupoidModel = Union[GroupLaw, PairGroupoid]
-
-
-def _require_model_structure(model: GroupoidModel, s: NambuStructure) -> None:
+def _require_model_structure(model: Groupoid, s: NambuStructure) -> None:
     """Reject a structure the model's checks do not apply to."""
-    if isinstance(model, GroupLaw):
-        if s.chart != model.chart:
-            raise ValueError("structure must live on the group chart")
-    elif isinstance(model, PairGroupoid):
+    if not isinstance(model, Groupoid):
+        raise TypeError("model must be a Groupoid")
+    if model.structure is not None:
         if s != model.structure:
             raise ValueError("structure must be the doubled structure of the model")
-    else:
-        raise TypeError("model must be a GroupLaw or a PairGroupoid")
+    elif s.chart != model.chart:
+        raise ValueError("structure must live on the group chart")
+
+
+def _over(model: Groupoid) -> NambuStructure:
+    """The base structure of a pair model; other models have none."""
+    if model.over is None:
+        raise ValueError("model has no base structure")
+    return model.over
 
 
 def _tripled_structure(s: NambuStructure) -> NambuStructure:
@@ -261,7 +245,7 @@ def _minor_pushforward(
 
 
 def translation_identity_defects(
-    law: GroupLaw, s: NambuStructure
+    law: Groupoid, s: NambuStructure
 ) -> tuple[tuple[tuple[int, ...], Poly], ...]:
     """Defect of the product coefficient against left/right translation sums.
 
@@ -292,7 +276,7 @@ def translation_identity_defects(
 
 @dataclass(frozen=True)
 class MultiplicativityReport:
-    """Graph-coisotropy verdict plus, for group laws, the translation route."""
+    """Graph-coisotropy verdict plus, over a point base, the translation route."""
 
     graph: CoisotropyReport
     translation_defects: Optional[tuple[tuple[tuple[int, ...], Poly], ...]]
@@ -308,17 +292,15 @@ class MultiplicativityReport:
         return self.graph.coisotropic == (not self.translation_defects)
 
 
-def multiplicativity_check(model: GroupoidModel, s: NambuStructure) -> MultiplicativityReport:
-    """Decide multiplicativity on the composition graph; cross-check for groups."""
+def multiplicativity_check(model: Groupoid, s: NambuStructure) -> MultiplicativityReport:
+    """Decide multiplicativity on the composition graph; cross-check for groups.
+
+    A disagreement of the two routes is reported in `agree`, not raised.
+    """
     _require_model_structure(model, s)
     graph = coisotropy_check(_tripled_structure(s), model.multiplication_graph())
-    translation = None
-    if isinstance(model, GroupLaw):
-        translation = translation_identity_defects(model, s)
-    report = MultiplicativityReport(graph, translation)
-    if not report.agree:
-        raise AssertionError("graph and translation routes disagree")
-    return report
+    translation = None if model.source else translation_identity_defects(model, s)
+    return MultiplicativityReport(graph, translation)
 
 
 @dataclass(frozen=True)
@@ -342,37 +324,33 @@ class TheoremDiagnostics:
         return self.unit.coisotropic and self.base_dependent and self.mixed_zero
 
 
-def theorem_diagnostics(model: GroupoidModel, s: NambuStructure) -> TheoremDiagnostics:
+def theorem_diagnostics(model: Groupoid, s: NambuStructure) -> TheoremDiagnostics:
     _require_model_structure(model, s)
-    unit = coisotropy_check(s, model.unit_submanifold())
-    if isinstance(model, GroupLaw):
-        # the base is a point: lifted functions are constants, so the
-        # dependence and mixed-contraction conditions hold vacuously
-        return TheoremDiagnostics(unit, True, None, True, None)
-    base = model.base.chart
-    m, n = base.dim, s.order
-    bx, by = model.blocks
-    co = model.total.coords
+    unit = coisotropy_check(s, model.units)
+    ch = model.chart
+    co = ch.coords
 
+    # over a point base both blocks are empty: lifted functions are
+    # constants, so the dependence and mixed-contraction conditions hold
     base_dependent, base_witness = True, None
-    for block, other in ((bx, by), (by, bx)):
-        for tup in combinations(range(m), n):
-            fs = [Poly.coordinate(model.total, co[block[i]]) for i in tup]
-            out = nambu_bracket(s, fs)
-            if any(out.mentions(co[j]) for j in other):
+    for block in (model.source, model.target):
+        outside = [c for i, c in enumerate(co) if i not in block]
+        for tup in combinations(block, s.order):
+            out = nambu_bracket(s, [Poly.coordinate(ch, co[i]) for i in tup])
+            if any(out.mentions(c) for c in outside):
                 base_dependent = False
-                base_witness = (tuple(co[block[i]] for i in tup), out)
+                base_witness = (tuple(co[i] for i in tup), out)
                 break
         if not base_dependent:
             break
 
     mixed_zero, mixed_witness = True, None
-    for i in range(m):
-        for j in range(m):
-            fa = Form.coordinate_differential(model.total, co[bx[i]])
-            fb = Form.coordinate_differential(model.total, co[by[j]])
+    for i in model.source:
+        for j in model.target:
+            fa = Form.coordinate_differential(ch, co[i])
+            fb = Form.coordinate_differential(ch, co[j])
             if not interior_product(s.tensor, [fa, fb]).is_zero:
-                mixed_zero, mixed_witness = False, (co[bx[i]], co[by[j]])
+                mixed_zero, mixed_witness = False, (co[i], co[j])
                 break
         if not mixed_zero:
             break
@@ -413,12 +391,11 @@ class InversionReport:
         return self.relatedness.anti_related and not self.identity_defects
 
 
-def inversion_check(model: GroupoidModel, s: NambuStructure) -> InversionReport:
+def inversion_check(model: Groupoid, s: NambuStructure) -> InversionReport:
     """Inversion reverses the structure up to the parity sign of the order."""
     _require_model_structure(model, s)
-    phi = model.inv if isinstance(model, GroupLaw) else model.inversion_map()
-    rel = relatedness_check(phi, s, s)
-    return InversionReport(rel, inversion_identity_defects(phi, s))
+    rel = relatedness_check(model.inv, s, s)
+    return InversionReport(rel, inversion_identity_defects(model.inv, s))
 
 
 @dataclass(frozen=True)
@@ -433,32 +410,38 @@ class PointStructure:
 
 
 def base_structure(
-    model: GroupoidModel, s: NambuStructure, degree: int = 2
+    model: Groupoid, s: NambuStructure, degree: int = 2
 ) -> Union[NambuStructure, PointStructure]:
-    """Descend the total structure to the base along the source projection.
+    """Descend the arrow structure to the base along the source projection.
 
-    Group laws sit over a single point, where any bracket of positive order
-    is zero. For pair models the structure is coinduced along the source
-    projection and the target projection is verified to reverse the result
-    up to the parity sign; an obstruction raises since it would contradict
-    base-only dependence of source-lifted brackets.
+    Groups sit over a single point, where any bracket of positive order is
+    zero. Otherwise the structure is coinduced along the source projection
+    and the target projection is verified to reverse the result up to the
+    parity sign; an obstruction raises since it would contradict base-only
+    dependence of source-lifted brackets.
     """
     _require_model_structure(model, s)
-    if isinstance(model, GroupLaw):
+    if not model.source:
         return PointStructure(s.order)
-    rep = coinduce(model.source_map(), s, degree)
+    co = model.chart.coords
+    base = Chart(tuple(co[i] for i in model.source))
+    source, target = (
+        PolyMap.projection(model.chart, base, [co[i] for i in block])
+        for block in (model.source, model.target)
+    )
+    rep = coinduce(source, s, degree)
     if not rep.coinduced:
         raise ValueError(
             "structure does not descend: " + rep.obstruction.canonical_str()
         )
     out = rep.structure
-    back = relatedness_check(model.target_map(), s, out)
+    back = relatedness_check(target, s, out)
     if not back.anti_related:
         raise AssertionError("target projection fails the signed descent relation")
     return out
 
 
-def conormal_pair_model(pg: PairGroupoid) -> BialgebroidModel:
+def conormal_pair_model(pg: Groupoid) -> BialgebroidModel:
     """Unit-conormal realization of the dual pair over a doubled-chart model.
 
     Dual sections over the diagonal are spanned by dy_j - dx_j. The
@@ -467,21 +450,19 @@ def conormal_pair_model(pg: PairGroupoid) -> BialgebroidModel:
     projects to the first block. The bracket this induces on base functions
     equals the base bracket times the parity sign of the order.
     """
-    base = pg.base.chart
+    over = _over(pg)
+    base = over.chart
     m = base.dim
-    bx, by = pg.blocks
-    total = pg.total
+    bx, by = pg.source, pg.target
+    total = pg.chart
     co = total.coords
     thetas = [
         Form(total, 1, {(by[j],): Poly.one(total), (bx[j],): -Poly.one(total)})
         for j in range(m)
     ]
     xpos = {i: k for k, i in enumerate(bx)}
-    diag_images: dict[str, Poly] = {}
-    for j in range(m):
-        xj = Poly.coordinate(base, base.coords[j])
-        diag_images[co[bx[j]]] = xj
-        diag_images[co[by[j]]] = xj
+    xs = PolyMap.identity(base).comps
+    diag_images = {co[b[j]]: xs[j] for b in (bx, by) for j in range(m)}
 
     def d0(f: Poly) -> Form:
         if f.chart != base:
@@ -504,7 +485,7 @@ def conormal_pair_model(pg: PairGroupoid) -> BialgebroidModel:
         return MultiVec(base, 1, comps)
 
     return BialgebroidModel(
-        base=base, order=pg.base.order, d0=d0, rho=rho, label="pair conormal"
+        base=base, order=over.order, d0=d0, rho=rho, label="pair conormal"
     )
 
 
@@ -519,18 +500,19 @@ class NotCoisotropicError(ValueError):
         super().__init__(msg)
 
 
-def restricted_subgroupoid(pg: PairGroupoid, sub: SolvedSubmanifold) -> SolvedSubmanifold:
-    """The doubled copy of a base locus inside the total chart."""
-    if sub.chart != pg.base.chart:
+def restricted_subgroupoid(pg: Groupoid, sub: SolvedSubmanifold) -> SolvedSubmanifold:
+    """The doubled copy of a base locus inside the arrow chart."""
+    base = _over(pg).chart
+    if sub.chart != base:
         raise ValueError("locus must live on the base chart")
-    bx, by = pg.blocks
-    co = pg.total.coords
+    bx, by = pg.source, pg.target
+    co = pg.chart.coords
     solved = []
     for name, img in sub.solved:
-        i = pg.base.chart.index(name)
-        solved.append((co[bx[i]], lift_poly(img, pg.total, bx)))
-        solved.append((co[by[i]], lift_poly(img, pg.total, by)))
-    return SolvedSubmanifold(pg.total, tuple(solved))
+        i = base.index(name)
+        solved.append((co[bx[i]], lift_poly(img, pg.chart, bx)))
+        solved.append((co[by[i]], lift_poly(img, pg.chart, by)))
+    return SolvedSubmanifold(pg.chart, tuple(solved))
 
 
 @dataclass(frozen=True)
@@ -551,7 +533,7 @@ class SubgroupoidReport:
 
 
 def coiso_subgroupoid_check(
-    pg: PairGroupoid, sub: SolvedSubmanifold, trials: int = 6, seed: int = 0
+    pg: Groupoid, sub: SolvedSubmanifold, trials: int = 6, seed: int = 0
 ) -> SubgroupoidReport:
     """Full chain for a base locus: locus, doubled locus, tangent subalgebroid.
 
@@ -559,11 +541,12 @@ def coiso_subgroupoid_check(
     the witness attached rather than reporting, since the doubled locus is
     not a subgroupoid candidate at all in that case.
     """
-    base_rep = coisotropy_check(pg.base, sub)
+    over = _over(pg)
+    base_rep = coisotropy_check(over, sub)
     if not base_rep.coisotropic:
         raise NotCoisotropicError(base_rep)
     total_rep = coisotropy_check(pg.structure, restricted_subgroupoid(pg, sub))
     alg_rep = coiso_subalgebroid_check(
-        pg.base, tangent_subalgebroid(sub), trials=trials, seed=seed
+        over, tangent_subalgebroid(sub), trials=trials, seed=seed
     )
     return SubgroupoidReport(base_rep, total_rep, alg_rep)

@@ -23,12 +23,13 @@ from .geomaps import (
     graph_equivalence_check,
 )
 from .groupoids import (
-    GroupLaw,
+    Groupoid,
     NotCoisotropicError,
-    PairGroupoid,
     coiso_subgroupoid_check,
+    group_law,
     heisenberg_group,
     multiplicativity_check,
+    pair_groupoid,
     theorem_diagnostics,
     translation_group,
 )
@@ -63,7 +64,7 @@ ERROR = "ERROR"
 OK_VERDICTS = frozenset({"PASS", "VERIFIED_ON_FAMILY"})
 
 Value = Union[Fraction, Poly, MultiVec, Form]
-Bound = Union[Value, SolvedSubmanifold, PolyMap, GroupLaw, PairGroupoid]
+Bound = Union[Value, SolvedSubmanifold, PolyMap, Groupoid]
 
 
 class SemanticError(ValueError):
@@ -127,10 +128,10 @@ def describe(v: Bound) -> str:
         return "{ " + body + " }"
     if isinstance(v, PolyMap):
         return "(" + ", ".join(c.canonical_str() for c in v.comps) + ")"
-    if isinstance(v, GroupLaw):
-        return "group law on (" + ", ".join(v.chart.coords) + ")"
-    if isinstance(v, PairGroupoid):
-        return "pair model over " + v.base.tensor.canonical_str()
+    if isinstance(v, Groupoid):
+        if v.over is None:
+            return "group law on (" + ", ".join(v.chart.coords) + ")"
+        return "pair model over " + v.over.tensor.canonical_str()
     return str(v)
 
 
@@ -340,11 +341,11 @@ class Runner:
         elif isinstance(st, GroupDecl):
             env.bind(st.name, self._group(st))
         elif isinstance(st, PairDecl):
-            env.bind(st.name, PairGroupoid(_structure(env, st.base)))
+            env.bind(st.name, pair_groupoid(_structure(env, st.base)))
         else:
             raise SemanticError(f"unhandled declaration {st!r}")
 
-    def _group(self, st: GroupDecl) -> GroupLaw:
+    def _group(self, st: GroupDecl) -> Groupoid:
         env = self.env
         if st.kind == "translation":
             return translation_group(env.chart(st.chart))
@@ -365,7 +366,7 @@ class Runner:
         )
         inv = tuple(_as_poly(eval_expr(env, e, override=ch), ch) for e in st.inv)
         try:
-            return GroupLaw(
+            return group_law(
                 ch,
                 PolyMap(doubled, ch, mult),
                 tuple(st.unit),
@@ -460,15 +461,20 @@ class Runner:
         if st.kind == "multiplicative":
             model = env.value(st.args[0])
             s = _structure(env, st.args[1])
-            if isinstance(model, PairGroupoid):
-                if s != model.base:
+            if not isinstance(model, Groupoid):
+                raise SemanticError(f"{st.args[0]!r} is not a group or pair model")
+            if model.over is not None:
+                if s != model.over:
                     raise SemanticError(
                         "pair model checks take the base structure as the tensor"
                     )
                 s = model.structure
-            elif not isinstance(model, GroupLaw):
-                raise SemanticError(f"{st.args[0]!r} is not a group or pair model")
             rep = multiplicativity_check(model, s)
+            if not rep.agree:
+                return Report(
+                    echo, self._inputs(st.args), ERROR,
+                    witness="graph and translation routes disagree",
+                )
             if rep.multiplicative:
                 diag = theorem_diagnostics(model, s)
                 if not diag.passed:
@@ -519,7 +525,7 @@ class Runner:
             return Report(echo, self._inputs(st.args), FAIL, witness=witness)
         if st.kind == "subgroupoid":
             model = env.value(st.args[0])
-            if not isinstance(model, PairGroupoid):
+            if not isinstance(model, Groupoid) or model.over is None:
                 raise SemanticError(f"{st.args[0]!r} is not a pair model")
             sub = env.value(st.args[1])
             if not isinstance(sub, SolvedSubmanifold):

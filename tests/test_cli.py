@@ -3,10 +3,12 @@
 import json
 
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import nambu.groupoids
 from nambu.cli import main
 from nambu.parser import (
     BinOp,
@@ -31,7 +33,7 @@ from nambu.parser import (
     render_expr,
     tokenize,
 )
-from nambu.ratpoly import Chart
+from nambu.ratpoly import Chart, Poly
 from nambu.session import (
     Environment,
     SemanticError,
@@ -616,6 +618,19 @@ class TestCliProcess:
     def test_run_missing_file_exit_two(self, capsys):
         assert main(["run", "/no/such/file.nmb"]) == 2
         assert "error" in capsys.readouterr().err
+
+    def test_route_disagreement_is_an_error_report(self, monkeypatch, capsys):
+        # a translation route that contradicts the graph route must end in
+        # an ERROR report, not a traceback
+        def fake(law, s):
+            return (((0, 1, 2), Poly.one(law.mult.source)),)
+
+        monkeypatch.setattr(nambu.groupoids, "translation_identity_defects", fake)
+        script = Path(__file__).resolve().parent.parent / "corpus/pass/group_translation.nmb"
+        assert main(["run", str(script)]) == 1
+        out = capsys.readouterr().out
+        assert "ERROR  check multiplicative G pi" in out
+        assert "witness: graph and translation routes disagree" in out
 
     def test_run_non_utf8_script_exit_two(self, tmp_path, capsys):
         f = tmp_path / "s.nmb"

@@ -1,5 +1,7 @@
-"""Group laws, pair models, multiplicativity, and the subgroupoid chain."""
+"""Groupoid laws, group laws, pair models, bundles of groups,
+multiplicativity, and the subgroupoid chain."""
 
+import dataclasses
 import os
 import subprocess
 import sys
@@ -12,16 +14,17 @@ from nambu.exterior import MultiVec
 from nambu.formsbialg import induced_base_bracket, pointwise_filippov
 from nambu.geomaps import PolyMap, SolvedSubmanifold, opposite_sign
 from nambu.groupoids import (
-    GroupLaw,
+    Groupoid,
     NotCoisotropicError,
-    PairGroupoid,
     PointStructure,
     base_structure,
     coiso_subgroupoid_check,
     conormal_pair_model,
+    group_law,
     heisenberg_group,
     inversion_check,
     multiplicativity_check,
+    pair_groupoid,
     restricted_subgroupoid,
     theorem_diagnostics,
     translation_group,
@@ -49,7 +52,7 @@ def poisson_disc():
 class TestGroupLaw:
     def test_translation_constructs(self):
         g = translation_group(R3)
-        assert g.unit == (0, 0, 0)
+        assert g.units.solved == tuple((c, Poly.zero(R3)) for c in R3.coords)
         assert g.mult.comps[0].canonical_str() == "x1 + x1'"
 
     def test_heisenberg_constructs_and_is_noncommutative(self):
@@ -79,7 +82,7 @@ class TestGroupLaw:
         bad = PolyMap(doubled, ch, (a + a2 * a2,))
         ident = PolyMap.identity(ch)
         with pytest.raises(ValueError, match="associative"):
-            GroupLaw(ch, bad, (Fraction(0),), ident)
+            group_law(ch, bad, (Fraction(0),), ident)
 
     def test_unit_law_rejected(self):
         ch = chart("a")
@@ -88,7 +91,7 @@ class TestGroupLaw:
         shifted = PolyMap(doubled, ch, (a + a2 + Poly.one(doubled),))
         neg = PolyMap(ch, ch, (-Poly.coordinate(ch, "a"),))
         with pytest.raises(ValueError, match="unit"):
-            GroupLaw(ch, shifted, (Fraction(0),), neg)
+            group_law(ch, shifted, (Fraction(0),), neg)
 
     def test_inverse_law_rejected(self):
         ch = chart("a")
@@ -97,12 +100,12 @@ class TestGroupLaw:
         add = PolyMap(doubled, ch, (a + a2,))
         ident = PolyMap.identity(ch)
         with pytest.raises(ValueError, match="inverse"):
-            GroupLaw(ch, add, (Fraction(0),), ident)
+            group_law(ch, add, (Fraction(0),), ident)
 
     def test_mult_chart_shape_rejected(self):
         g = translation_group(R3)
         with pytest.raises(ValueError):
-            GroupLaw(R3, PolyMap.identity(R3), g.unit, g.inv)
+            group_law(R3, PolyMap.identity(R3), (Fraction(0),) * 3, g.inv)
 
     def test_multiplication_graph_is_solved_form(self):
         g = translation_group(R3)
@@ -112,7 +115,141 @@ class TestGroupLaw:
 
     def test_unit_point_has_no_free_coordinates(self):
         g = translation_group(R3)
-        assert g.unit_submanifold().dim == 0
+        assert g.units.dim == 0
+
+
+class TestGroupoidLaws:
+    """Each law the constructor checks, with one input that breaks it."""
+
+    def pair(self):
+        return pair_groupoid(poisson_disc())
+
+    def test_pair_model_fields(self):
+        pg = self.pair()
+        assert (pg.source, pg.target) == ((0, 1), (2, 3))
+        assert pg.units.solved_map()["q'"].canonical_str() == "q"
+        assert [c.canonical_str() for c in pg.inv.comps] == ["q'", "p'", "q", "p"]
+
+    def test_inv_chart_shape(self):
+        pg = self.pair()
+        with pytest.raises(ValueError, match="inv must map the chart to itself"):
+            dataclasses.replace(pg, inv=pg.mult)
+
+    def test_source_and_target_positions(self):
+        with pytest.raises(ValueError, match="arrow coordinate positions"):
+            dataclasses.replace(self.pair(), target=(2, 4))
+
+    def test_units_solved_over_the_source(self):
+        pg = self.pair()
+        q, p, q2, p2 = (Poly.coordinate(pg.chart, c) for c in pg.chart.coords)
+        over_target = SolvedSubmanifold(pg.chart, (("q", q2), ("p", p2)))
+        with pytest.raises(ValueError, match="solved over the source"):
+            dataclasses.replace(pg, units=over_target)
+
+    def test_doubled_base_structure_on_the_arrow_chart(self):
+        with pytest.raises(ValueError, match="must live on the arrow chart"):
+            dataclasses.replace(self.pair(), over=VOL3)
+
+    def test_units_have_equal_source_and_target(self):
+        pg = self.pair()
+        q, p, q2, p2 = (Poly.coordinate(pg.chart, c) for c in pg.chart.coords)
+        shifted = SolvedSubmanifold(pg.chart, (("q'", q + Poly.one(pg.chart)), ("p'", p)))
+        with pytest.raises(ValueError, match="units must have equal source and target"):
+            dataclasses.replace(pg, units=shifted)
+
+    def test_inverse_swaps_source_and_target(self):
+        pg = self.pair()
+        with pytest.raises(ValueError, match="inverse must swap source and target"):
+            dataclasses.replace(pg, inv=PolyMap.identity(pg.chart))
+
+    def test_product_runs_from_first_source_to_second_target(self):
+        pg = self.pair()
+        doubled = pg.mult.source
+        first = tuple(Poly.coordinate(doubled, c) for c in doubled.coords[:4])
+        with pytest.raises(ValueError, match="product must run"):
+            dataclasses.replace(pg, mult=PolyMap(doubled, pg.chart, first))
+
+    def test_right_unit(self):
+        # g.h = h is associative with a left unit but no right unit
+        ch = chart("a")
+        doubled, _ = concat_charts(ch, ch)
+        second = PolyMap(doubled, ch, (Poly.coordinate(doubled, "a'"),))
+        with pytest.raises(ValueError, match="right unit law fails"):
+            group_law(ch, second, (Fraction(0),), PolyMap.identity(ch))
+
+    def test_unit_point_length(self):
+        g = translation_group(R3)
+        with pytest.raises(ValueError, match="one value per coordinate"):
+            group_law(R3, g.mult, (Fraction(0),) * 2, g.inv)
+
+
+class TestBundleOfGroups:
+    """(t, x, y) -> (x, y) on both ends: a line of additive groups over the plane."""
+
+    ch = chart("t x y")
+
+    def bundle(self):
+        ch = self.ch
+        doubled, _ = concat_charts(ch, ch)
+        t, x, y, t2, _, _ = (Poly.coordinate(doubled, c) for c in doubled.coords)
+        tv, xv, yv = (Poly.coordinate(ch, c) for c in ch.coords)
+        units = SolvedSubmanifold(ch, (("t", Poly.zero(ch)),))
+        return Groupoid(ch, (1, 2), (1, 2), units,
+                        PolyMap(doubled, ch, (t + t2, x, y)), PolyMap(ch, ch, (-tv, xv, yv)))
+
+    def bivector(self, *terms):
+        ch = self.ch
+        acc = MultiVec.zero(ch, 2)
+        for coeff, a, b in terms:
+            field = MultiVec.coordinate_field(ch, a).wedge(MultiVec.coordinate_field(ch, b))
+            acc = acc + field.scale(Poly.one(ch) if coeff == 1 else Poly.coordinate(ch, coeff))
+        return NambuStructure(ch, 2, acc)
+
+    def test_graph_glues_composable_pairs(self):
+        graph = self.bundle().multiplication_graph()
+        assert graph.solved_names == ("x'", "y'", "t''", "x''", "y''")
+        assert [graph.solved_map()[c].canonical_str() for c in graph.solved_names] == [
+            "x", "y", "t + t'", "x", "y",
+        ]
+
+    @pytest.mark.parametrize("terms", [
+        [(1, "t", "x")],
+        [("y", "t", "x")],
+        [("x", "t", "y"), (1, "t", "x")],
+    ])
+    def test_fibre_bivectors_are_multiplicative(self, terms):
+        g, s = self.bundle(), self.bivector(*terms)
+        rep = multiplicativity_check(g, s)
+        assert rep.multiplicative and rep.agree
+        assert rep.translation_defects is None
+        assert theorem_diagnostics(g, s).passed
+        assert inversion_check(g, s).passed
+
+    def test_base_bivector_is_not_multiplicative(self):
+        g, s = self.bundle(), self.bivector((1, "x", "y"))
+        rep = multiplicativity_check(g, s)
+        assert not rep.multiplicative
+        assert rep.graph.witness.canonical_str() == "frame (x', y') -> 2"
+        diag = theorem_diagnostics(g, s)
+        assert not diag.passed and diag.mixed_witness == ("x", "y")
+
+    def test_fibre_dependent_bivector_is_not_multiplicative(self):
+        g, s = self.bundle(), self.bivector(("t", "t", "x"))
+        rep = multiplicativity_check(g, s)
+        assert not rep.multiplicative
+        assert rep.graph.witness.canonical_str() == "frame (x', t'') -> -t + t'"
+        assert not inversion_check(g, s).passed
+
+
+class TestPairOnlyFunctions:
+    @pytest.mark.parametrize("call", [
+        lambda g: conormal_pair_model(g),
+        lambda g: restricted_subgroupoid(g, ORIGIN),
+        lambda g: coiso_subgroupoid_check(g, ORIGIN),
+    ])
+    def test_group_law_is_rejected(self, call):
+        with pytest.raises(ValueError, match="model has no base structure"):
+            call(translation_group(chart("x y z")))
 
 
 class TestGroupMultiplicativity:
@@ -182,18 +319,18 @@ class TestGroupDiagnostics:
 
 class TestPairGroupoid:
     def test_total_chart_and_structure(self):
-        pg = PairGroupoid(VOL3)
-        assert pg.total.coords == ("x1", "x2", "x3", "x1'", "x2'", "x3'")
+        pg = pair_groupoid(VOL3)
+        assert pg.chart.coords == ("x1", "x2", "x3", "x1'", "x2'", "x3'")
         assert pg.structure.tensor.component((0, 1, 2)).canonical_str() == "1"
         assert pg.structure.tensor.component((3, 4, 5)).canonical_str() == "1"
 
     def test_order_two_total_structure_flips_sign(self):
-        pg = PairGroupoid(poisson_disc())
+        pg = pair_groupoid(poisson_disc())
         assert pg.structure.tensor.component((0, 1)).canonical_str() == "q + 1"
         assert pg.structure.tensor.component((2, 3)).canonical_str() == "-q' - 1"
 
     def test_multiplication_graph_solved_names(self):
-        pg = PairGroupoid(VOL3)
+        pg = pair_groupoid(VOL3)
         graph = pg.multiplication_graph()
         assert set(graph.solved_names) == {
             "x1''", "x2''", "x3''",
@@ -203,58 +340,59 @@ class TestPairGroupoid:
         assert graph.solved_map()["x1''"].canonical_str() == "x1'"
 
     def test_multiplicative(self):
-        pg = PairGroupoid(VOL3)
+        pg = pair_groupoid(VOL3)
         assert multiplicativity_check(pg, pg.structure).multiplicative
 
     def test_multiplicative_order_two(self):
-        pg = PairGroupoid(poisson_disc())
+        pg = pair_groupoid(poisson_disc())
         assert multiplicativity_check(pg, pg.structure).multiplicative
 
     def test_diagnostics_all_pass(self):
-        pg = PairGroupoid(VOL3)
+        pg = pair_groupoid(VOL3)
         td = theorem_diagnostics(pg, pg.structure)
         assert td.passed
         assert td.unit.coisotropic and td.base_dependent and td.mixed_zero
 
     def test_inversion_swap(self):
-        pg = PairGroupoid(VOL3)
+        pg = pair_groupoid(VOL3)
         r = inversion_check(pg, pg.structure)
         assert r.passed
 
     def test_base_structure_round_trip(self):
-        pg = PairGroupoid(VOL3)
+        pg = pair_groupoid(VOL3)
         assert base_structure(pg, pg.structure) == VOL3
-        scaled = PairGroupoid(XVOL)
+        scaled = pair_groupoid(XVOL)
         assert base_structure(scaled, scaled.structure) == XVOL
 
     def test_requires_the_doubled_structure(self):
-        pg = PairGroupoid(VOL3)
-        other = NambuStructure(pg.total, 3, pg.structure.tensor.scale(2))
+        pg = pair_groupoid(VOL3)
+        other = NambuStructure(pg.chart, 3, pg.structure.tensor.scale(2))
         with pytest.raises(ValueError):
             multiplicativity_check(pg, other)
 
     def test_every_model_check_rejects_the_same_inputs(self):
-        pg = PairGroupoid(VOL3)
+        pg = pair_groupoid(VOL3)
         checks = (multiplicativity_check, theorem_diagnostics, inversion_check, base_structure)
         for check in checks:
             with pytest.raises(ValueError, match="must live on the group chart"):
                 check(heisenberg_group(), VOL3)
             with pytest.raises(ValueError, match="must be the doubled structure"):
                 check(pg, VOL3)
-            with pytest.raises(TypeError, match="GroupLaw or a PairGroupoid"):
+            with pytest.raises(TypeError, match="must be a Groupoid"):
                 check(VOL3, VOL3)
 
     def test_structure_map_check_survives_optimize_flag(self):
-        # the construction-time sanity check must not be an assert that -O strips
+        # the construction-time law check must not be an assert that -O strips
         script = (
+            "import dataclasses\n"
             "from nambu.geomaps import PolyMap\n"
-            "from nambu.groupoids import PairGroupoid\n"
+            "from nambu.groupoids import pair_groupoid\n"
             "from nambu.ratpoly import chart\n"
             "from nambu.structures import volume_structure\n"
-            "PairGroupoid.inversion_map = lambda self: PolyMap.identity(self.total)\n"
+            "pg = pair_groupoid(volume_structure(chart('x y z')))\n"
             "try:\n"
-            "    PairGroupoid(volume_structure(chart('x y z')))\n"
-            "except AssertionError:\n"
+            "    dataclasses.replace(pg, inv=PolyMap.identity(pg.chart))\n"
+            "except ValueError:\n"
             "    raise SystemExit(0)\n"
             "raise SystemExit('constructed a pair model with a broken inversion map')\n"
         )
@@ -278,14 +416,14 @@ class TestPairGroupoid:
             if multiplicativity_check(model, s).multiplicative:
                 assert theorem_diagnostics(model, s).passed
         for base in (VOL3, XVOL, poisson_disc()):
-            pg = PairGroupoid(base)
+            pg = pair_groupoid(base)
             if multiplicativity_check(pg, pg.structure).multiplicative:
                 assert theorem_diagnostics(pg, pg.structure).passed
 
 
 class TestSignRelation:
     def test_order_three_sign_is_plus(self):
-        pg = PairGroupoid(XVOL)
+        pg = pair_groupoid(XVOL)
         model = conormal_pair_model(pg)
         sign = Fraction(opposite_sign(3))
         for fs in ([x1, x2, x3], [x1 * x2, x3, x1 + x2], [x2, x2 * x3, x1]):
@@ -293,7 +431,7 @@ class TestSignRelation:
 
     def test_order_two_sign_is_minus(self):
         s = poisson_disc()
-        model = conormal_pair_model(PairGroupoid(s))
+        model = conormal_pair_model(pair_groupoid(s))
         q = Poly.coordinate(s.chart, "q")
         p = Poly.coordinate(s.chart, "p")
         assert nambu_bracket(s, [q, p]).canonical_str() == "q + 1"
@@ -302,25 +440,25 @@ class TestSignRelation:
 
 class TestSubgroupoid:
     def test_codim_one_locus_chain_passes(self):
-        pg = PairGroupoid(VOL3)
+        pg = pair_groupoid(VOL3)
         N = SolvedSubmanifold(R3, (("x3", Poly.zero(R3)),))
         rep = coiso_subgroupoid_check(pg, N, trials=3, seed=7)
         assert rep.passed
         assert rep.total.coisotropic and rep.subalgebroid.passed
 
     def test_doubled_locus_lives_on_both_blocks(self):
-        pg = PairGroupoid(VOL3)
+        pg = pair_groupoid(VOL3)
         N = SolvedSubmanifold(R3, (("x3", Poly.zero(R3)),))
         H = restricted_subgroupoid(pg, N)
         assert set(H.solved_names) == {"x3", "x3'"}
 
     def test_point_rejected_with_witness(self):
-        pg = PairGroupoid(VOL3)
+        pg = pair_groupoid(VOL3)
         with pytest.raises(NotCoisotropicError) as exc:
             coiso_subgroupoid_check(pg, ORIGIN)
         assert exc.value.report.witness.reduced.canonical_str() == "1"
 
     def test_zero_base_accepts_any_locus(self):
         z = NambuStructure(R3, 3, MultiVec.zero(R3, 3))
-        rep = coiso_subgroupoid_check(PairGroupoid(z), ORIGIN, trials=2, seed=1)
+        rep = coiso_subgroupoid_check(pair_groupoid(z), ORIGIN, trials=2, seed=1)
         assert rep.passed
