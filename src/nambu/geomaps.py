@@ -22,6 +22,7 @@ from .exterior import (
 )
 from .ratpoly import (
     Chart,
+    InvariantError,
     Poly,
     concat_charts,
     lift_poly,
@@ -425,5 +426,5 @@ def coinduce(phi: PolyMap, a: NambuStructure, degree: int = 2) -> CoinduceReport
     out = NambuStructure(phi.target, n, MultiVec(phi.target, n, comps))
     rel = relatedness_check(phi, a, out)
     if not rel.related:
-        raise AssertionError("assembled pushforward is not related to the input")
+        raise InvariantError("assembled pushforward is not related to the input")
     return CoinduceReport(out, None, degree)

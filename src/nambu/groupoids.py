@@ -416,9 +416,10 @@ def base_structure(
 
     Groups sit over a single point, where any bracket of positive order is
     zero. Otherwise the structure is coinduced along the source projection
-    and the target projection is verified to reverse the result up to the
-    parity sign; an obstruction raises since it would contradict base-only
-    dependence of source-lifted brackets.
+    and the target projection must reverse the result up to the parity
+    sign. Either failing is a property of the input, a structure that is
+    not multiplicative, and raises ValueError: on a pair model with its
+    doubled structure neither can fail.
     """
     _require_model_structure(model, s)
     if not model.source:
@@ -437,7 +438,7 @@ def base_structure(
     out = rep.structure
     back = relatedness_check(target, s, out)
     if not back.anti_related:
-        raise AssertionError("target projection fails the signed descent relation")
+        raise ValueError("target projection fails the signed descent relation")
     return out
 
 

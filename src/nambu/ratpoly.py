@@ -54,6 +54,14 @@ _denominator = attrgetter("denominator")
 _IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*'*\Z")
 
 
+class InvariantError(AssertionError):
+    """An internal cross-check contradicted itself: a fault of the program, not of its input.
+
+    Raised explicitly, never by an `assert` statement, so that the checks
+    still run under `python -O`; a session reports it as ERROR.
+    """
+
+
 def is_identifier(name: str) -> bool:
     return bool(_IDENT.match(name))
 
@@ -528,7 +536,7 @@ def reduce_mod_solved(p: Poly, solved: Mapping[str, Poly]) -> Poly:
     out = p.subs_some(solved)
     for s in solved:
         if out.mentions(s):
-            raise AssertionError("solved coordinate survived reduction")
+            raise InvariantError("solved coordinate survived reduction")
     return out
 
 

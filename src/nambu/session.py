@@ -3,7 +3,8 @@
 A session's charts may not share coordinate names, so every identifier in an
 expression resolves to exactly one chart. Declarations and bindings emit no
 report; commands emit exactly one each. The first semantic error aborts the
-run with an ERROR report appended to the partial list.
+run with an ERROR report appended to the partial list; so does an internal
+contradiction (`InvariantError`), whose report says it is internal.
 """
 
 from __future__ import annotations
@@ -55,7 +56,7 @@ from .parser import (
     SubDecl,
     Statement,
 )
-from .ratpoly import Chart, Poly, concat_charts
+from .ratpoly import Chart, InvariantError, Poly, concat_charts
 from .structures import NambuStructure, fi_check, nambu_bracket
 
 PASS = "PASS"
@@ -560,9 +561,10 @@ def run_session(session: Session, seed: int = 0, degree: int = 2) -> RunResult:
                 runner.declare(st)
             else:
                 reports.append(runner.command(st))
-        except (SemanticError, ValueError) as exc:
+        except (SemanticError, ValueError, InvariantError) as exc:
+            internal = "internal error: " if isinstance(exc, InvariantError) else ""
             reports.append(
-                Report(st.canonical_text(), (), ERROR, witness=str(exc))
+                Report(st.canonical_text(), (), ERROR, witness=internal + str(exc))
             )
             break
     return RunResult(session, reports, runner.warnings, seed, degree)

@@ -9,8 +9,10 @@ and the check at the heart of this module is the Fundamental identity
     {f_1,..,f_(n-1),{g_1,..,g_n}} =
         sum_k {g_1,..,{f_1,..,f_(n-1),g_k},..,g_n}
 
-swept exactly over monomial families. Verification is family-relative and
-reported as such; refutation is sound and comes with a concrete witness.
+swept exactly over monomial families, after a complete pre-check on the
+coordinates and quadratic monomials that decides a verified structure
+without the sweep. Verification is family-relative and reported as such;
+refutation is sound and comes with a concrete witness.
 """
 
 from __future__ import annotations
@@ -18,7 +20,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import Mapping, Optional, Sequence
+from math import comb
+from typing import Iterable, Mapping, Optional, Sequence
 
 from .cartan import de_rham_d, schouten
 from .exterior import (
@@ -31,7 +34,7 @@ from .exterior import (
     lift_tensor,
     wedge_all,
 )
-from .ratpoly import Chart, Poly, Rat, Scalar, monomials_up_to
+from .ratpoly import Chart, InvariantError, Poly, Rat, Scalar, monomials_up_to
 
 VERIFIED_ON_FAMILY = "VERIFIED_ON_FAMILY"
 REFUTED = "REFUTED"
@@ -216,11 +219,13 @@ class FiWitness:
 class FiReport:
     """Outcome of `fi_check`.
 
-    `family_size` is (f-tuples swept, g-tuples evaluated). The first entry
-    counts every f-tuple whose Lie defect was computed, up to and including
-    the refuting one. The second is 0 on VERIFIED_ON_FAMILY, where no
-    g-tuple needs evaluating, and on REFUTED is the witness's 1-based
-    position among the g-tuples of the refuting f-tuple.
+    `family_size` is (f-tuples covered, g-tuples evaluated). The first
+    entry is, on VERIFIED_ON_FAMILY, every (n-1)-tuple of the family,
+    whether swept or decided by the reduced-family pre-check of `fi_check`;
+    on REFUTED, the refuting f-tuple's 1-based position in canonical order.
+    The second is 0 on VERIFIED_ON_FAMILY, where no g-tuple needs
+    evaluating, and on REFUTED is the witness's 1-based position among the
+    g-tuples of the refuting f-tuple.
     """
 
     verdict: str
@@ -231,6 +236,35 @@ class FiReport:
     @property
     def verified(self) -> bool:
         return self.verdict == VERIFIED_ON_FAMILY
+
+
+def _first_nonzero_lie(
+    s: NambuStructure, dfs: Sequence[Form], tuples: Iterable[tuple[int, ...]]
+) -> tuple[int, Optional[tuple[int, ...]], Optional[MultiVec]]:
+    """Walk f-tuples of indices into `dfs` until a Lie defect L_(X_F) Pi is nonzero.
+
+    Returns (tuples walked, that tuple, its defect), or (tuples walked,
+    None, None) when every defect vanishes. Consecutive tuples that share a
+    prefix share its contraction i_(df_(t_k)) .. i_(df_(t_1)) Pi: it is
+    taken once and only the changed tail is contracted again.
+    """
+    count = 0
+    # fields[k] = i_(df_(t_k)) .. i_(df_(t_1)) Pi for the current tuple t
+    fields = [s.tensor]
+    prev = (-1,) * (s.order - 1)
+    for t in tuples:
+        count += 1
+        k = 0
+        while t[k] == prev[k]:  # t keeps the first k positions of prev
+            k += 1
+        del fields[k + 1 :]
+        for i in t[k:]:
+            fields.append(interior_one_form(dfs[i], fields[-1]))
+        prev = t
+        d = schouten(fields[-1], s.tensor)
+        if not d.is_zero:
+            return count, t, d
+    return count, None, None
 
 
 def fi_check(s: NambuStructure, degree: int = 2) -> FiReport:
@@ -249,49 +283,73 @@ def fi_check(s: NambuStructure, degree: int = 2) -> FiReport:
     reported witness defect is identical to the nested-bracket value, which
     `FiWitness.reverify` recomputes independently.
 
-    The differential of each monomial of the family is computed once per
-    sweep and shared by the f slots (X_F = i_(dF) Pi) and the g slots.
-    The f-tuples are walked in `combinations` order, and consecutive tuples
-    share a prefix, so each prefix contraction i_(df_(i_k)) .. i_(df_(i_1)) Pi
-    is taken once and only the changed tail is contracted again. Every
-    f-tuple still gets its own Lie defect, so `family_size` keeps its
-    meaning.
+    The check runs in two phases over one list of monomials.
+
+    1. A complete pre-check on the reduced family: the coordinates x_i and
+       the quadratic monomials x_j*x_k, taking only the sorted (n-1)-tuples
+       with at most one quadratic. If every such tuple has a zero Lie
+       defect, the identity holds for all functions, so the sweep below
+       cannot refute and its report, VERIFIED_ON_FAMILY with
+       C(|family|, n-1) f-tuples, is returned without sweeping. The proof:
+       L_(X_F) Pi depends only on the 1- and 2-jets of the f's, and reads
+       A(df_1, .., df_(n-1)) + sum_a B_a(Hess f_a; df_b for b != a), with A
+       and each B_a tensorial (each term holds at most one second
+       derivative). Coordinate tuples give A(dx_J), so they vanish exactly
+       when A does. Given A = 0, a tuple (x_J', x_j*x_k) gives
+       B_(n-1)(e_j.e_k; dx_J'); the symmetric products e_j.e_k span every
+       Hessian, and the defect is alternating in the f's, so these tuples
+       span every B_a. (Olver, GTM 107, ch. 4, for the jet calculus.)
+    2. Otherwise the canonical sweep over the whole family, in
+       `combinations` order, finds the first nonzero Lie defect and its
+       first g witness. At degree >= 2 the reduced family lies inside the
+       family, so this sweep must refute; if it does not, InvariantError.
+       At degree 1 it may still verify on the coordinates alone.
+
+    The differential of each monomial is computed at most once per call
+    and shared by both phases, the f slots (X_F = i_(dF) Pi) and the g
+    slots. Both phases walk their tuples in `combinations` order and share
+    prefix contractions (`_first_nonzero_lie`). In the sweep every f-tuple
+    up to the refuting one gets its own Lie defect, so `family_size` keeps
+    its meaning.
 
     Verification is relative to the swept family; refutation is sound.
     """
     if degree < 1:
         raise ValueError("degree must be at least 1")
-    n = s.order
-    mons = monomials_up_to(s.chart, degree)
-    dfs = _differentials(mons)
-    f_count = 0
-    # fields[k] = i_(df_(t_k)) .. i_(df_(t_1)) Pi for the current f-tuple t
-    fields = [s.tensor]
-    prev = (-1,) * (n - 1)
-    for t in combinations(range(len(mons)), n - 1):
-        f_count += 1
-        k = 0
-        while t[k] == prev[k]:  # t keeps the first k positions of prev
-            k += 1
-        del fields[k + 1 :]
-        for i in t[k:]:
-            fields.append(interior_one_form(dfs[i], fields[-1]))
-        prev = t
-        d = schouten(fields[-1], s.tensor)
-        if d.is_zero:
-            continue
-        for g_count, u in enumerate(combinations(range(len(mons)), n), 1):
-            defect = evaluate(d, [dfs[i] for i in u])
-            if not defect.is_zero:
-                fs = tuple(mons[i] for i in t)
-                gs = tuple(mons[i] for i in u)
-                w = FiWitness(fs, gs, defect)
-                return FiReport(REFUTED, degree, (f_count, g_count), w)
-        raise AssertionError(
-            "nonzero Lie defect without a monomial witness; coordinate tuples "
-            "should already expose every nonzero component"
-        )
-    return FiReport(VERIFIED_ON_FAMILY, degree, (f_count, 0))
+    n, m = s.order, s.chart.dim
+    # ordered by degree, so the family and the reduced family are prefixes
+    mons = monomials_up_to(s.chart, max(degree, 2))
+    reduced = m + m * (m + 1) // 2
+    family = m if degree == 1 else len(mons)
+    dfs = _differentials(mons[:reduced])
+    # sorted tuples of the reduced family whose first n-2 entries are coordinates
+    reduced_tuples = (
+        p + (q,)
+        for p in combinations(range(m), n - 2)
+        for q in range(p[-1] + 1 if p else 0, reduced)
+    )
+    if _first_nonzero_lie(s, dfs, reduced_tuples)[1] is None:
+        return FiReport(VERIFIED_ON_FAMILY, degree, (comb(family, n - 1), 0))
+    dfs += _differentials(mons[reduced:])
+    f_count, t, d = _first_nonzero_lie(s, dfs, combinations(range(family), n - 1))
+    if t is None:
+        if degree >= 2:
+            raise InvariantError(
+                "a reduced-family tuple has a nonzero Lie defect, but the "
+                f"degree-{degree} sweep that contains it found none"
+            )
+        return FiReport(VERIFIED_ON_FAMILY, degree, (f_count, 0))
+    for g_count, u in enumerate(combinations(range(family), n), 1):
+        defect = evaluate(d, [dfs[i] for i in u])
+        if not defect.is_zero:
+            fs = tuple(mons[i] for i in t)
+            gs = tuple(mons[i] for i in u)
+            w = FiWitness(fs, gs, defect)
+            return FiReport(REFUTED, degree, (f_count, g_count), w)
+    raise InvariantError(
+        "nonzero Lie defect without a monomial witness; coordinate tuples "
+        "should already expose every nonzero component"
+    )
 
 
 @dataclass(frozen=True)

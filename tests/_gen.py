@@ -14,7 +14,7 @@ from itertools import combinations
 
 from hypothesis import strategies as st
 
-from nambu.exterior import Form, MultiVec
+from nambu.exterior import Form, MultiVec, wedge_all
 from nambu.ratpoly import Chart, Poly, chart
 
 R2 = chart("x1 x2", "R2")
@@ -92,6 +92,14 @@ class SeededSampler:
         for _ in range(self.rng.randint(1, comps)):
             out[self.rng.choice(idx)] = self.poly(ch, max_degree, 2)
         return cls(ch, grade, out)
+
+    def linear_wedge(self, ch: Chart, grade: int) -> MultiVec:
+        """A wedge of `grade` vector fields with affine-linear coefficients."""
+        fields = []
+        for _ in range(grade):
+            slots = self.rng.sample(range(ch.dim), self.rng.randint(1, ch.dim))
+            fields.append(MultiVec(ch, 1, {(j,): self.poly(ch, 1, 2) for j in slots}))
+        return wedge_all(fields)
 
     def multivec(self, ch: Chart, grade: int, max_degree: int = 2) -> MultiVec:
         return self.tensor(ch, grade, MultiVec, max_degree)

@@ -1,6 +1,9 @@
 """Session language: lexing, parsing, printing, evaluation, and the CLI."""
 
 import json
+import os
+import subprocess
+import sys
 
 from fractions import Fraction
 from pathlib import Path
@@ -9,6 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import nambu.groupoids
+import nambu.structures
 from nambu.cli import main
 from nambu.parser import (
     BinOp,
@@ -631,6 +635,51 @@ class TestCliProcess:
         out = capsys.readouterr().out
         assert "ERROR  check multiplicative G pi" in out
         assert "witness: graph and translation routes disagree" in out
+
+    # In both tests below the first Lie defect fi_check takes, in its
+    # reduced-family pre-check, reads nonzero; every later one is the true
+    # zero, so the sweep that must refute verifies. The contradiction is
+    # internal and ends in an ERROR report, also under python -O.
+    FAKE_LIE = (
+        "real, calls = nambu.structures.schouten, []\n"
+        "def fake(p, q):\n"
+        "    calls.append(1)\n"
+        "    return q if len(calls) == 1 else real(p, q)\n"
+    )
+    FI_CONTRADICTION = (
+        "ERROR  check fi pi",
+        "    witness: internal error: a reduced-family tuple has a nonzero Lie "
+        "defect, but the degree-2 sweep that contains it found none",
+    )
+
+    def test_fi_contradiction_is_an_error_report(self, monkeypatch, tmp_path, capsys):
+        scope = {"nambu": nambu}
+        exec(self.FAKE_LIE, scope)
+        monkeypatch.setattr(nambu.structures, "schouten", scope["fake"])
+        f = tmp_path / "s.nmb"
+        f.write_text(VOL_PRELUDE + "check fi pi\n")
+        assert main(["run", str(f)]) == 1
+        out = capsys.readouterr().out.splitlines()
+        assert all(ln in out for ln in self.FI_CONTRADICTION)
+
+    def test_fi_contradiction_is_an_error_report_under_optimize_flag(self, tmp_path):
+        f = tmp_path / "s.nmb"
+        f.write_text(VOL_PRELUDE + "check fi pi\n")
+        script = (
+            "import sys\nimport nambu.structures\nfrom nambu.cli import main\n"
+            + self.FAKE_LIE
+            + "nambu.structures.schouten = fake\nsys.exit(main(['run', sys.argv[1]]))\n"
+        )
+        src = Path(__file__).resolve().parent.parent / "src"
+        done = subprocess.run(
+            [sys.executable, "-O", "-c", script, str(f)],
+            env={**os.environ, "PYTHONPATH": str(src)},
+            capture_output=True, text=True, timeout=60,
+        )
+        assert done.returncode == 1, done.stderr
+        assert "Traceback" not in done.stderr
+        out = done.stdout.splitlines()
+        assert all(ln in out for ln in self.FI_CONTRADICTION)
 
     def test_run_non_utf8_script_exit_two(self, tmp_path, capsys):
         f = tmp_path / "s.nmb"

@@ -224,6 +224,7 @@ class TestBundleOfGroups:
         assert rep.translation_defects is None
         assert theorem_diagnostics(g, s).passed
         assert inversion_check(g, s).passed
+        assert base_structure(g, s).tensor.is_zero
 
     def test_base_bivector_is_not_multiplicative(self):
         g, s = self.bundle(), self.bivector((1, "x", "y"))
@@ -232,6 +233,13 @@ class TestBundleOfGroups:
         assert rep.graph.witness.canonical_str() == "frame (x', y') -> 2"
         diag = theorem_diagnostics(g, s)
         assert not diag.passed and diag.mixed_witness == ("x", "y")
+
+    def test_base_bivector_does_not_descend(self):
+        # coinduction along the source succeeds; the target projection then
+        # relates it with the wrong sign, a property of the input
+        g, s = self.bundle(), self.bivector((1, "x", "y"))
+        with pytest.raises(ValueError, match="signed descent relation"):
+            base_structure(g, s)
 
     def test_fibre_dependent_bivector_is_not_multiplicative(self):
         g, s = self.bundle(), self.bivector(("t", "t", "x"))

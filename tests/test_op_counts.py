@@ -7,9 +7,13 @@ the baseline sweep of the roadmap, (1 + x5) d1^d2^d3^d4 on R5 at degree
 defect. Computing each monomial's differential once per sweep, and each
 coefficient partial only where the Schouten bracket uses it, keeps the
 counts below; taking differentials per tuple again would cost 3420
-`de_rham_d` and 21040 `partial` calls on the same sweep. Contracting each
-f-tuple's prefix i_(df_(i_1)) Pi, i_(df_(i_2)) i_(df_(i_1)) Pi once, instead
-of per tuple, cuts `interior_one_form` calls from 3 * 1140 = 3420 to 1329.
+`de_rham_d` and 21040 `partial` calls on the same sweep. The reduced-family
+pre-check decides that sweep on the 160 tuples of coordinates with at most
+one quadratic monomial, so 160 Lie defects (`schouten` calls) are taken
+instead of 1140. Contracting each tuple's prefix i_(df_(i_1)) Pi,
+i_(df_(i_2)) i_(df_(i_1)) Pi once, instead of per tuple, cuts
+`interior_one_form` calls from 3 * 160 = 480 to 174; on the full sweep it
+cut them from 3 * 1140 = 3420 to 1329.
 """
 
 from fractions import Fraction
@@ -50,19 +54,45 @@ def test_baseline_sweep_op_counts(monkeypatch):
     assert counts["partial"] <= 4040
 
 
+def _fi_counts(monkeypatch, s, degree):
+    counts = {"de_rham_d": 0, "interior_one_form": 0, "schouten": 0}
+    for name in counts:
+        _counting(monkeypatch, nambu.structures, name, counts)
+    return fi_check(s, degree=degree), counts
+
+
 def test_baseline_sweep_contracts_each_prefix_once(monkeypatch):
     r5 = chart("x1 x2 x3 x4 x5", "R5")
     coeff = Poly.one(r5) + Poly.coordinate(r5, "x5")
     s = NambuStructure(r5, 4, MultiVec(r5, 4, {(0, 1, 2, 3): coeff}))
-    counts = {"de_rham_d": 0, "interior_one_form": 0}
-    _counting(monkeypatch, nambu.structures, "de_rham_d", counts)
-    _counting(monkeypatch, nambu.structures, "interior_one_form", counts)
-    rep = fi_check(s, degree=2)
+    rep, counts = _fi_counts(monkeypatch, s, 2)
     assert rep.family_size == (1140, 0)
     assert counts["de_rham_d"] == 20
-    # one contraction per prefix that begins a sorted 3-tuple of the 20
-    # monomials: C(18, 1) + C(19, 2) + C(20, 3) = 18 + 171 + 1140
-    assert counts["interior_one_form"] == 1329
+    # the reduced tuples (x_a, x_b, q) with a < b coordinates and q any
+    # later coordinate or quadratic: C(5, 3) + 15 * C(5, 2) = 10 + 150
+    assert counts["schouten"] == 160
+    # one contraction per prefix: 4 first entries x1..x4, C(5, 2) = 10
+    # coordinate pairs, then the 160 tuples
+    assert counts["interior_one_form"] == 174
+
+
+def test_refuted_sweep_contracts_each_prefix_once(monkeypatch):
+    # x1*x4 d2^d3^d4^d5 + (x3*x4 + x4) d1^d3^d4^d5 on R5 fails first at the
+    # 36th f-tuple (x1; x4; x5), behind (x1, x2, q) for 18 monomials q and
+    # (x1, x3, q) for 17. The pre-check walks the same 36 tuples before it
+    # stops, then the canonical sweep walks them again: each takes 36 Lie
+    # defects and 1 + 3 + 36 = 40 contractions (108 without prefix sharing).
+    r5 = chart("x1 x2 x3 x4 x5", "R5")
+    x1, x3, x4 = (Poly.coordinate(r5, c) for c in ("x1", "x3", "x4"))
+    s = NambuStructure(r5, 4, MultiVec(r5, 4, {
+        (1, 2, 3, 4): x1 * x4, (0, 2, 3, 4): x3 * x4 + x4}))
+    rep, counts = _fi_counts(monkeypatch, s, 2)
+    assert rep.family_size == (36, 970)
+    assert rep.witness.canonical_str() == (
+        "fs = (x1; x4; x5), gs = (x2; x3; x4; x5), defect = -x1*x4^2")
+    assert counts["de_rham_d"] == 20
+    assert counts["schouten"] == 2 * 36
+    assert counts["interior_one_form"] == 2 * 40
 
 
 def test_dense_substitute_takes_each_power_once(monkeypatch):

@@ -261,32 +261,56 @@ def reference_fi_check(s: NambuStructure, degree: int) -> FiReport:
 
 R5 = chart("x1 x2 x3 x4 x5", "R5")
 
-# (chart, order, degree, sampler seed, at most this many components,
-# verdict); one component is always Nambu, two or three usually are not
+
+def sampled(seed, comps):
+    """The tensor SeededSampler(seed) draws, with at most `comps` components."""
+    return f"seed{seed}", lambda ch, order: SeededSampler(seed).tensor(
+        ch, order, MultiVec, comps=comps)
+
+
+def linear_wedge(seed):
+    """A seeded wedge of vector fields with affine-linear coefficients."""
+    return f"wedge{seed}", lambda ch, order: SeededSampler(seed).linear_wedge(ch, order)
+
+
+# 1/3*x1 d1^d3^d4 + 2*x5 d2^d4^d5 on R5: every coordinate pair has a zero
+# Lie defect, so the degree-1 sweep verifies it, but the reduced family
+# refutes it at (x1, x2*x4); fi_check must fall through to the sweep
+FALL_THROUGH = ("fall-through", lambda ch, order: MultiVec(ch, order, {
+    (0, 2, 3): Poly.coordinate(ch, "x1").scale(Fraction(1, 3)),
+    (1, 3, 4): Poly.coordinate(ch, "x5").scale(2),
+}))
+
+# (chart, order, degree, (label, tensor builder), verdict); a sampled
+# tensor with one component is always Nambu, two or three usually are not
 SEEDED_FI_CASES = [
-    (R4, 3, 2, 0, 2, REFUTED),
-    (R4, 3, 2, 1, 2, VERIFIED_ON_FAMILY),
-    (R4, 3, 3, 0, 2, REFUTED),
-    (R4, 3, 3, 2, 2, VERIFIED_ON_FAMILY),
-    (R4, 4, 2, 0, 2, VERIFIED_ON_FAMILY),
-    (R5, 3, 2, 0, 2, REFUTED),
-    (R5, 3, 2, 1, 2, VERIFIED_ON_FAMILY),
-    (R5, 3, 3, 3, 2, VERIFIED_ON_FAMILY),
-    (R5, 3, 3, 9, 3, REFUTED),
-    (R5, 4, 2, 0, 2, REFUTED),
-    (R5, 4, 2, 1, 2, VERIFIED_ON_FAMILY),
-    (R5, 4, 3, 5, 2, REFUTED),
+    (R4, 3, 2, sampled(0, 2), REFUTED),
+    (R4, 3, 2, sampled(1, 2), VERIFIED_ON_FAMILY),
+    (R4, 3, 3, sampled(0, 2), REFUTED),
+    (R4, 3, 3, sampled(2, 2), VERIFIED_ON_FAMILY),
+    (R4, 4, 2, sampled(0, 2), VERIFIED_ON_FAMILY),
+    (R5, 3, 2, sampled(0, 2), REFUTED),
+    (R5, 3, 2, sampled(1, 2), VERIFIED_ON_FAMILY),
+    (R5, 3, 3, sampled(3, 2), VERIFIED_ON_FAMILY),
+    (R5, 3, 3, sampled(9, 3), REFUTED),
+    (R5, 4, 2, sampled(0, 2), REFUTED),
+    (R5, 4, 2, sampled(1, 2), VERIFIED_ON_FAMILY),
+    (R5, 4, 3, sampled(5, 2), REFUTED),
+    (R5, 3, 1, FALL_THROUGH, VERIFIED_ON_FAMILY),
+    (R5, 3, 2, FALL_THROUGH, REFUTED),
+    (R5, 3, 3, FALL_THROUGH, REFUTED),
+    (R5, 3, 2, linear_wedge(3), REFUTED),
+    (R5, 3, 2, linear_wedge(9), VERIFIED_ON_FAMILY),
 ]
 
 
 class TestFiCheckAgainstReference:
     @pytest.mark.parametrize(
-        "ch, order, degree, seed, comps, verdict", SEEDED_FI_CASES,
-        ids=[f"{c[0].label}-order{c[1]}-degree{c[2]}-seed{c[3]}" for c in SEEDED_FI_CASES],
+        "ch, order, degree, source, verdict", SEEDED_FI_CASES,
+        ids=[f"{c[0].label}-order{c[1]}-degree{c[2]}-{c[3][0]}" for c in SEEDED_FI_CASES],
     )
-    def test_same_report_as_per_tuple_sweep(self, ch, order, degree, seed, comps, verdict):
-        t = SeededSampler(seed).tensor(ch, order, MultiVec, comps=comps)
-        s = NambuStructure(ch, order, t)
+    def test_same_report_as_per_tuple_sweep(self, ch, order, degree, source, verdict):
+        s = NambuStructure(ch, order, source[1](ch, order))
         got = fi_check(s, degree)
         want = reference_fi_check(s, degree)
         assert got == want
@@ -294,6 +318,19 @@ class TestFiCheckAgainstReference:
         if verdict == REFUTED:
             assert got.witness.canonical_str() == want.witness.canonical_str()
             assert got.witness.reverify(s)
+
+    @pytest.mark.parametrize("degree, family_size", [
+        (1, (10, 0)), (2, (12, 325)), (3, (12, 2810)),
+    ])
+    def test_reduced_family_refutes_what_degree_one_verifies(self, degree, family_size):
+        s = NambuStructure(R5, 3, FALL_THROUGH[1](R5, 3))
+        rep = fi_check(s, degree)
+        assert rep.family_size == family_size
+        if degree == 1:
+            assert rep.verified
+        else:
+            assert rep.witness.canonical_str() == (
+                "fs = (x1; x2*x4), gs = (x3; x4; x5), defect = 2/3*x1*x5")
 
 
 class TestPlucker:
